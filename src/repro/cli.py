@@ -225,23 +225,6 @@ def _load_fault_plans(
     return tuple(plans)
 
 
-def _add_scheduler_flags(parser: argparse.ArgumentParser) -> None:
-    """The simulation-kernel knobs: queue backend and timeout batching."""
-    from .sim.scheduler import SCHEDULER_NAMES
-
-    parser.add_argument(
-        "--scheduler", choices=SCHEDULER_NAMES, default="heap",
-        help="event-queue backend (both serve bit-identical schedules; "
-        "see docs/perf.md)",
-    )
-    parser.add_argument(
-        "--batch-timeouts", action="store_true",
-        help="coalesce same-instant fixed-cost timeouts into shared "
-        "queue entries (changes the event population, stays "
-        "deterministic)",
-    )
-
-
 def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
     """The shared performance flags: worker fan-out and run caching."""
     parser.add_argument(
@@ -334,8 +317,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         file_blocks=args.file_blocks,
         total_reads=args.reads,
         faults=faults,
-        scheduler=args.scheduler,
-        batch_timeouts=args.batch_timeouts,
         write_mode=args.write_mode,
         dirty_ratio=args.dirty_ratio,
         dirty_background_ratio=args.dirty_background_ratio,
@@ -385,8 +366,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         file_blocks=args.file_blocks,
         total_reads=args.reads,
         faults=_load_faults(args),
-        scheduler=args.scheduler,
-        batch_timeouts=args.batch_timeouts,
         write_mode=args.write_mode,
         dirty_ratio=args.dirty_ratio,
         dirty_background_ratio=args.dirty_background_ratio,
@@ -400,22 +379,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         ok = ok and verdict["identical"]
     tag = " (with observability recorder attached)" if args.obs else ""
     print(f"determinism audit{tag}:", "PASS" if ok else "FAIL")
-    if args.compare_schedulers:
-        from .analysis.audit import run_with_audit
-        from .sim.scheduler import SCHEDULER_NAMES
-
-        digests = {}
-        for name in SCHEDULER_NAMES:
-            report = run_with_audit(
-                config.with_overrides(scheduler=name), sweep_interval=None
-            )
-            digests[name] = report.trace_digest
-            print(f"  {name:<10} {report.trace_digest}")
-        identical = len(set(digests.values())) == 1
-        print(
-            "scheduler equivalence:", "PASS" if identical else "FAIL"
-        )
-        ok = ok and identical
     return 0 if ok else 1
 
 
@@ -683,47 +646,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     import json
 
-    from .perf.bench import (
-        compare_baseline,
-        compare_scheduler_baseline,
-        render_bench,
-        render_scheduler_bench,
-        run_bench,
-        run_scheduler_bench,
-    )
+    from .perf.bench import compare_baseline, render_bench, run_bench
 
-    if args.schedulers:
-        label = args.label or "scheduler"
-        report = run_scheduler_bench(
-            label=label,
-            seed=args.seed,
-            scales=args.scales,
-            reads_per_node=args.reads_per_node,
-            output_dir=args.output_dir,
-        )
-        compare = compare_scheduler_baseline
-        render = render_scheduler_bench
-    else:
-        label = args.label or ("quick" if args.quick else "full")
-        report = run_bench(
-            label=label,
-            quick=args.quick,
-            jobs=args.jobs,
-            seed=args.seed,
-            output_dir=args.output_dir,
-            profile=args.profile,
-        )
-        compare = compare_baseline
-        render = render_bench
-    print(render(report))
+    label = args.label or ("quick" if args.quick else "full")
+    report = run_bench(
+        label=label,
+        quick=args.quick,
+        jobs=args.jobs,
+        seed=args.seed,
+        output_dir=args.output_dir,
+        profile=args.profile,
+    )
+    print(render_bench(report))
     print(f"wrote {args.output_dir}/BENCH_{label}.json")
-    if args.profile and not args.schedulers:
+    if args.profile:
         print(f"wrote {args.output_dir}/BENCH_{label}_profile.txt")
     status = 0 if report["ok"] else 1
     if args.baseline is not None:
         with open(args.baseline, encoding="utf-8") as fh:
             baseline = json.load(fh)
-        failures = compare(report, baseline, max_regress=args.max_regress)
+        failures = compare_baseline(
+            report, baseline, max_regress=args.max_regress
+        )
         for line in failures:
             print(f"REGRESSION {line}", file=sys.stderr)
         if failures:
@@ -1169,7 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan to inject (see 'faults make')",
     )
     _add_write_flags(p_run)
-    _add_scheduler_flags(p_run)
     _add_perf_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -1205,12 +1148,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach the observability recorder to every audited run; "
         "an identical verdict then also proves span tracing and "
         "timeline sampling are schedule-neutral",
-    )
-    _add_scheduler_flags(p_audit)
-    p_audit.add_argument(
-        "--compare-schedulers", action="store_true",
-        help="additionally run the cell under every event-queue backend "
-        "and require identical event-trace digests",
     )
     p_audit.set_defaults(func=_cmd_audit)
 
@@ -1368,21 +1305,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile", action="store_true",
         help="run the kernel phase under cProfile and write "
         "BENCH_<label>_profile.txt (sorted by cumulative time)",
-    )
-    p_bench.add_argument(
-        "--schedulers", action="store_true",
-        help="benchmark the event-queue backends instead: kernel "
-        "matrix (backend x timeout batching), queue-op micro, "
-        "digest-equivalence proof, and 100->1000-node scale sweeps",
-    )
-    p_bench.add_argument(
-        "--scales", type=int, nargs="+", default=None, metavar="N",
-        help="node counts for the --schedulers scale sweep "
-        "(default: 100 250 500 1000)",
-    )
-    p_bench.add_argument(
-        "--reads-per-node", type=int, default=20, metavar="N",
-        help="workload sizing per node for the --schedulers sweep",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

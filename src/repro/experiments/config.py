@@ -102,16 +102,6 @@ class ExperimentConfig:
     # the faults and carries the resilience policy used to survive them.
     faults: Optional[FaultPlan] = None
 
-    # Simulation-kernel knobs.  ``scheduler`` picks the event-queue
-    # backend ("heap" = reference binary heap, "calendar" = O(1)
-    # calendar queue; both proven bit-identical, see docs/perf.md).
-    # ``batch_timeouts`` coalesces same-instant fixed-cost timeouts
-    # into shared queue entries — an opt-in sizing knob that changes
-    # the event population (and therefore trace digests) while leaving
-    # determinism intact.
-    scheduler: str = "heap"
-    batch_timeouts: bool = False
-
     # Reproducibility / diagnostics.
     seed: int = 1
     record_trace: bool = True
@@ -141,6 +131,13 @@ class ExperimentConfig:
                 "need 1 <= adaptive_min_distance <= "
                 "adaptive_initial_distance <= adaptive_max_distance"
             )
+        for name in (
+            "n_nodes", "n_disks", "file_blocks", "total_reads",
+            "per_proc_k", "total_k",
+        ):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.compute_mean < 0:
             raise ValueError("compute_mean must be non-negative")
         if self.lead < 0:
@@ -159,13 +156,6 @@ class ExperimentConfig:
             raise ValueError("portion_length must be positive")
         if self.portion_stride <= 0:
             raise ValueError("portion_stride must be positive")
-        from ..sim.scheduler import SCHEDULER_NAMES
-
-        if self.scheduler not in SCHEDULER_NAMES:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"known: {list(SCHEDULER_NAMES)}"
-            )
         if self.write_mode not in WRITE_MODES:
             raise ValueError(
                 f"unknown write mode {self.write_mode!r}; "

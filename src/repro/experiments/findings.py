@@ -11,12 +11,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..metrics.stats import percent_reduction
 from .config import ExperimentConfig
 from .figures import FigureData
-from .runner import RunResult, run_experiment
+from .runner import run_experiment
 from .suite import SuiteResults
 
 __all__ = [

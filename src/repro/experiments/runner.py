@@ -284,9 +284,7 @@ def run_materialized(
     the per-node user process; :mod:`repro.traces` uses both to record
     and replay traces through this exact wiring.
     """
-    env = Environment(
-        scheduler=config.scheduler, batch_timeouts=config.batch_timeouts
-    )
+    env = Environment()
     if instrument is not None:
         instrument.on_environment(env)
     rng = rng if rng is not None else RandomStreams(config.seed)

@@ -431,7 +431,7 @@ class BlockCache:
         lock_req = self.metadata_lock.request()
         yield lock_req
         # Hash probe: mostly local with one remote reference.
-        yield self.env.batched_timeout(self._op_time(local_refs=1, remote_refs=1))
+        yield self.env.timeout(self._op_time(local_refs=1, remote_refs=1))
 
         while True:
             buffer = self.table.get(block)
@@ -468,7 +468,7 @@ class BlockCache:
         self.alloc_waits.record(self.env.now - wait_start)
 
         # Allocation + table update: another costed metadata operation.
-        yield self.env.batched_timeout(self._op_time(local_refs=1, remote_refs=2))
+        yield self.env.timeout(self._op_time(local_refs=1, remote_refs=2))
         self._evict(victim)
         ready_event = victim.start_fetch(block, RequestKind.DEMAND, node_id)
         self.table[block] = victim
@@ -476,7 +476,7 @@ class BlockCache:
         self.metadata_lock.release(lock_req)
 
         # Enqueue the disk request (outside the lock).
-        yield self.env.batched_timeout(self.costs.disk_enqueue_time)
+        yield self.env.timeout(self.costs.disk_enqueue_time)
         disk = self.machine.disk_for_block(self.file.disk_for(block))
         self._issue_fetch(disk, block, RequestKind.DEMAND, node_id, victim)
         return LookupOutcome(
@@ -499,7 +499,7 @@ class BlockCache:
         if flush_target is not None:
             wait_event = self._begin_flush(flush_target, node_id, "eviction")
             self.metadata_lock.release(lock_req)
-            yield self.env.batched_timeout(self.costs.disk_enqueue_time)
+            yield self.env.timeout(self.costs.disk_enqueue_time)
             self._issue_write(flush_target, node_id)
             # A permanently failed flush fails this event: the stalled
             # requester surfaces the error, same as a failed demand fetch.
@@ -558,7 +558,7 @@ class BlockCache:
     def copy_out(self, buffer: Buffer) -> Generator[Event, None, None]:
         """Copy the block from the (typically remote) buffer to user
         memory, then drop the requester's pin."""
-        yield self.env.batched_timeout(
+        yield self.env.timeout(
             self.costs.block_copy_time * self.memory.contention_multiplier()
         )
         buffer.unpin()
@@ -608,7 +608,7 @@ class BlockCache:
         wait_start = self.env.now
         lock_req = self.metadata_lock.request()
         yield lock_req
-        yield self.env.batched_timeout(self._op_time(local_refs=1, remote_refs=1))
+        yield self.env.timeout(self._op_time(local_refs=1, remote_refs=1))
 
         while True:
             buffer = self.table.get(block)
@@ -643,7 +643,7 @@ class BlockCache:
         self.alloc_waits.record(self.env.now - wait_start)
 
         # Allocation + table update: another costed metadata operation.
-        yield self.env.batched_timeout(self._op_time(local_refs=1, remote_refs=2))
+        yield self.env.timeout(self._op_time(local_refs=1, remote_refs=2))
         self._evict(victim)
         victim.assign_dirty(block, node_id)
         self.table[block] = victim
@@ -672,7 +672,7 @@ class BlockCache:
         """
         lock_req = self.metadata_lock.request()
         yield lock_req
-        yield self.env.batched_timeout(self._op_time(local_refs=1, remote_refs=2))
+        yield self.env.timeout(self._op_time(local_refs=1, remote_refs=2))
         victim: Optional[Buffer] = None
         if buffer is not None:
             if buffer.state is BufferState.WRITING:
@@ -690,7 +690,7 @@ class BlockCache:
             return None
         event = self._begin_flush(victim, node_id, reason)
         self.metadata_lock.release(lock_req)
-        yield self.env.batched_timeout(self.costs.disk_enqueue_time)
+        yield self.env.timeout(self.costs.disk_enqueue_time)
         self._issue_write(victim, node_id)
         return event
 
@@ -709,20 +709,20 @@ class BlockCache:
         self.memory.enter()
         try:
             # Dirty-level consultation against shared state.
-            yield self.env.batched_timeout(
+            yield self.env.timeout(
                 self.memory.reference_time(local_refs=1, remote_refs=1)
             )
             if self.dirty_count <= self.dirty_background_limit:
-                yield self.env.batched_timeout(self.costs.prefetch_failed_action)
+                yield self.env.timeout(self.costs.prefetch_failed_action)
                 return "clean"
 
             lock_req = self.metadata_lock.request()
             yield lock_req
-            yield self.env.batched_timeout(self._op_time(local_refs=1, remote_refs=2))
+            yield self.env.timeout(self._op_time(local_refs=1, remote_refs=2))
             victim = self._pop_flushable()
             if victim is None:
                 self.metadata_lock.release(lock_req)
-                yield self.env.batched_timeout(self.costs.prefetch_failed_action)
+                yield self.env.timeout(self.costs.prefetch_failed_action)
                 return "clean"
             if self.resilience is not None:
                 disk = self.machine.disk_for_block(
@@ -736,13 +736,13 @@ class BlockCache:
                     # opportunism.)
                     self._dirty_queue.appendleft(victim)
                     self.metadata_lock.release(lock_req)
-                    yield self.env.batched_timeout(
+                    yield self.env.timeout(
                         self.costs.prefetch_failed_action
                     )
                     return "suspended"
             self._begin_flush(victim, node_id, "background")
             self.metadata_lock.release(lock_req)
-            yield self.env.batched_timeout(self.costs.disk_enqueue_time)
+            yield self.env.timeout(self.costs.disk_enqueue_time)
             self._issue_write(victim, node_id)
             return "success"
         finally:
@@ -765,12 +765,12 @@ class BlockCache:
         try:
             # Candidate selection against (possibly slightly stale) shared
             # state: reference-string consultation + progress check.
-            yield self.env.batched_timeout(
+            yield self.env.timeout(
                 self.memory.reference_time(local_refs=2, remote_refs=1)
             )
             candidate = policy.peek(node_id)
             if candidate is None:
-                yield self.env.batched_timeout(self.costs.prefetch_failed_action)
+                yield self.env.timeout(self.costs.prefetch_failed_action)
                 return "no_candidate"
             ref_index, block = candidate
 
@@ -781,19 +781,19 @@ class BlockCache:
                     # let the daemon sit out this idle period, so
                     # prefetch traffic never piles onto a sick disk.
                     policy.suspend(node_id, ref_index, block)
-                    yield self.env.batched_timeout(self.costs.prefetch_failed_action)
+                    yield self.env.timeout(self.costs.prefetch_failed_action)
                     return "suspended"
 
             # Request preparation (buffer search bookkeeping — local in the
             # optimized layout, remote pointer-chasing in the naive one).
-            yield self.env.batched_timeout(
+            yield self.env.timeout(
                 self.costs.prefetch_action_base
                 * self.memory.structure_multiplier()
             )
 
             lock_req = self.metadata_lock.request()
             yield lock_req
-            yield self.env.batched_timeout(self._op_time(local_refs=1, remote_refs=2))
+            yield self.env.timeout(self._op_time(local_refs=1, remote_refs=2))
 
             if block in self.table:
                 # Raced with a demand fetch or another daemon.
@@ -804,14 +804,14 @@ class BlockCache:
             if self.unused_prefetched >= self.unused_limit:
                 policy.abort(node_id, ref_index, block)
                 self.metadata_lock.release(lock_req)
-                yield self.env.batched_timeout(self.costs.prefetch_failed_action)
+                yield self.env.timeout(self.costs.prefetch_failed_action)
                 return "budget_full"
 
             victim = self.replacement.prefetch_victim(self, node_id)
             if victim is None:
                 policy.abort(node_id, ref_index, block)
                 self.metadata_lock.release(lock_req)
-                yield self.env.batched_timeout(self.costs.prefetch_failed_action)
+                yield self.env.timeout(self.costs.prefetch_failed_action)
                 return "no_buffer"
 
             self._evict(victim)
@@ -823,7 +823,7 @@ class BlockCache:
             self.metrics.record_prefetch_issued()
             self.metadata_lock.release(lock_req)
 
-            yield self.env.batched_timeout(self.costs.disk_enqueue_time)
+            yield self.env.timeout(self.costs.disk_enqueue_time)
             disk = self.machine.disk_for_block(self.file.disk_for(block))
             self._issue_fetch(
                 disk, block, RequestKind.PREFETCH, node_id, victim

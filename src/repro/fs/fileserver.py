@@ -22,7 +22,7 @@ stall, charged here as throttle-stall time).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Generator, Optional
+from typing import Callable, Generator, Optional
 
 from ..analysis.invariants import invariant
 from ..faults.errors import ReadFailedError, WriteFailedError
@@ -30,9 +30,6 @@ from ..machine.node import IdleKind, Node
 from ..sim.events import Event
 from ..sim.resources import Request
 from .cache import BlockCache
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..metrics.collector import RunMetrics
 
 __all__ = ["FileServer"]
 

@@ -19,7 +19,7 @@ the NUMA preference for node-local prefetch buffers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .buffer import Buffer, BufferState
 

@@ -17,7 +17,7 @@ the experiment suite; every experiment accepts an alternative
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 __all__ = ["CostModel"]

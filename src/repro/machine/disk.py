@@ -318,7 +318,7 @@ class Disk:
             self.queue_length.set(len(self._queue.items))
             request.start_time = self.env.now
             self.busy.set(1.0)
-            yield self.env.batched_timeout(self.model.service_time(request))
+            yield self.env.timeout(self.model.service_time(request))
             self.busy.set(0.0)
             request.complete_time = self.env.now
             request.error = self.model.completion_error(request)

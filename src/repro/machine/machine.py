@@ -9,7 +9,7 @@ simulation objects against an :class:`~repro.sim.core.Environment`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from .costs import CostModel
 from .disk import (

@@ -27,7 +27,7 @@ from __future__ import annotations
 from .cache import RunCache, default_cache_dir, open_cache
 from .digest import canonical_json, code_fingerprint, config_digest, run_key
 from .executor import ExecutionStats, execute_audits, execute_pairs, execute_runs
-from .scale import DEFAULT_SCALES, render_scale_sweep, run_scale_sweep
+from .scale import DEFAULT_SCALES, run_scale_sweep
 from .serialize import (
     result_from_dict,
     result_to_dict,
@@ -47,7 +47,6 @@ __all__ = [
     "execute_pairs",
     "execute_runs",
     "open_cache",
-    "render_scale_sweep",
     "result_from_dict",
     "result_to_dict",
     "results_digest",

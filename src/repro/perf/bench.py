@@ -35,11 +35,10 @@ import resource
 import shutil
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..experiments.config import ExperimentConfig
 from ..experiments.suite import SuiteResults, run_suite
-from ..sim.scheduler import SCHEDULER_NAMES, make_event_queue
 from ..workload.suite import (
     WorkloadSpec,
     balanced_compute_mean,
@@ -47,16 +46,12 @@ from ..workload.suite import (
 )
 from .cache import RunCache
 from .executor import ExecutionStats
-from .scale import run_scale_sweep
 from .serialize import suite_digest
 
 __all__ = [
     "compare_baseline",
-    "compare_scheduler_baseline",
     "render_bench",
-    "render_scheduler_bench",
     "run_bench",
-    "run_scheduler_bench",
 ]
 
 #: Downscaled sizing shared by every bench phase; the dynamics being
@@ -300,220 +295,6 @@ def compare_baseline(
                 f"{max_regress:.0%})"
             )
     return failures
-
-
-#: Kernel sizing for the scheduler matrix: big enough that queue
-#: discipline is visible in the wall time, small enough for CI.
-_SCHED_OVERRIDES: Dict[str, Any] = {
-    "n_nodes": 16,
-    "n_disks": 16,
-    "file_blocks": 1600,
-    "total_reads": 1600,
-}
-
-#: Queue-op microbenchmark sizing: hold ``depth`` keys steady, cycle
-#: ``ops`` push+pop pairs through the structure.
-_MICRO_DEPTH = 4096
-_MICRO_OPS = 100_000
-
-
-def _bench_queue_ops(name: str) -> Dict[str, Any]:
-    """Pure queue-discipline microbenchmark (no simulation around it).
-
-    Fills the backend to a steady depth with a deterministic
-    self-similar arrival pattern, then times push+pop cycles.  This
-    isolates the O(1)-vs-O(log n) story from the simulation logic that
-    dominates whole-run wall time.
-    """
-    queue = make_event_queue(name)
-    # Deterministic pseudo-arrivals: a fixed linear-congruential stream
-    # (no random module — simlint forbids it outside blessed paths).
-    state = 0x2545F491
-    times: List[float] = []
-    for _ in range(_MICRO_DEPTH + _MICRO_OPS):
-        state = (state * 1103515245 + 12345) & 0x7FFFFFFF
-        times.append(state / 0x7FFFFFFF)
-    now = 0.0
-    seq = 0
-    feed = iter(times)
-    for _ in range(_MICRO_DEPTH):
-        seq += 1
-        queue.push((now + next(feed) * 50.0, 1, seq, None))  # type: ignore[arg-type]
-    start = time.perf_counter()  # simlint: allow-wallclock
-    for _ in range(_MICRO_OPS):
-        now = queue.pop()[0]
-        seq += 1
-        queue.push((now + next(feed) * 50.0, 1, seq, None))  # type: ignore[arg-type]
-    wall = time.perf_counter() - start  # simlint: allow-wallclock
-    wall = max(wall, 1e-9)
-    return {
-        "backend": name,
-        "depth": _MICRO_DEPTH,
-        "cycles": _MICRO_OPS,
-        "wall_s": wall,
-        "ops_per_s": _MICRO_OPS / wall,
-    }
-
-
-def run_scheduler_bench(
-    label: str = "scheduler",
-    seed: int = 1,
-    scales: Optional[Sequence[int]] = None,
-    reads_per_node: int = 20,
-    output_dir: Union[str, Path] = "benchmarks",
-) -> Dict[str, Any]:
-    """Benchmark the event-queue backends and write ``BENCH_<label>.json``.
-
-    Three phases:
-
-    * **matrix** — the kernel workload under every backend x timeout
-      batching combination, events/sec each;
-    * **micro** — the queue-op microbenchmark per backend (the figure
-      where queue discipline, not simulation logic, is measured);
-    * **scales** — a 100 -> 1000-node sweep per backend with per-scale
-      bottleneck attribution (see :mod:`repro.perf.scale`).
-
-    ``report["equivalence"]["digests_match"]`` proves the backends
-    served the identical schedule; ``report["ok"]`` requires it.
-    """
-    from ..analysis.audit import run_with_audit
-
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    matrix: List[Dict[str, Any]] = []
-    for scheduler in SCHEDULER_NAMES:
-        for batch in (False, True):
-            overrides = dict(
-                _SCHED_OVERRIDES, scheduler=scheduler, batch_timeouts=batch
-            )
-            entry = _bench_kernel(seed, overrides)
-            entry.update(scheduler=scheduler, batch_timeouts=batch)
-            matrix.append(entry)
-
-    micro = [_bench_queue_ops(name) for name in SCHEDULER_NAMES]
-
-    digests: Dict[str, str] = {}
-    for scheduler in SCHEDULER_NAMES:
-        config = ExperimentConfig(
-            pattern="gw",
-            sync_style="per-proc",
-            seed=seed,
-            scheduler=scheduler,
-            **_QUICK_OVERRIDES,
-        )
-        digests[scheduler] = run_with_audit(
-            config, sweep_interval=None
-        ).trace_digest
-    equivalence = {
-        "digests": digests,
-        "digests_match": len(set(digests.values())) == 1,
-    }
-
-    sweeps = {
-        scheduler: run_scale_sweep(
-            scales=scales if scales is not None else (100, 250, 500, 1000),
-            seed=seed,
-            reads_per_node=reads_per_node,
-            scheduler=scheduler,
-        )
-        for scheduler in SCHEDULER_NAMES
-    }
-
-    report = {
-        "label": label,
-        "seed": seed,
-        "created_unix": time.time(),  # simlint: allow-wallclock
-        "host": {
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-        },
-        "matrix": matrix,
-        "micro": micro,
-        "equivalence": equivalence,
-        "scales": sweeps,
-        "ok": equivalence["digests_match"],
-    }
-    path = out / f"BENCH_{label}.json"
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return report
-
-
-def _matrix_entry(
-    report: Dict[str, Any], scheduler: str, batch: bool
-) -> Optional[Dict[str, Any]]:
-    for entry in report.get("matrix", ()):
-        if (
-            entry.get("scheduler") == scheduler
-            and entry.get("batch_timeouts") == batch
-        ):
-            return entry
-    return None
-
-
-def compare_scheduler_baseline(
-    report: Dict[str, Any],
-    baseline: Dict[str, Any],
-    max_regress: float = 0.25,
-) -> List[str]:
-    """Regressions of a scheduler bench against its committed baseline.
-
-    Gates every matrix cell's events/sec (both backends, both batching
-    modes) and requires backend equivalence to still hold.  Returns
-    human-readable failure lines (empty = pass).
-    """
-    failures: List[str] = []
-    if not report.get("equivalence", {}).get("digests_match", False):
-        failures.append("backend digests diverge (heap != calendar)")
-    for scheduler in SCHEDULER_NAMES:
-        for batch in (False, True):
-            current = _matrix_entry(report, scheduler, batch)
-            reference = _matrix_entry(baseline, scheduler, batch)
-            if current is None or reference is None:
-                continue
-            value = current.get("events_per_s")
-            ref = reference.get("events_per_s")
-            if value is None or ref is None or ref <= 0:
-                continue
-            floor = ref * (1.0 - max_regress)
-            if value < floor:
-                tag = f"{scheduler}{'+batch' if batch else ''}"
-                failures.append(
-                    f"kernel events/s [{tag}]: {value:.0f} < {floor:.0f} "
-                    f"(baseline {ref:.0f}, max regress {max_regress:.0%})"
-                )
-    return failures
-
-
-def render_scheduler_bench(report: Dict[str, Any]) -> str:
-    """Human-readable summary of one scheduler bench report."""
-    from .scale import render_scale_sweep
-
-    equivalence = report["equivalence"]
-    lines = [
-        f"scheduler bench [{report['label']}] "
-        f"({report['host']['cpu_count']} cpu):",
-        "  kernel matrix (events/s):",
-    ]
-    for entry in report["matrix"]:
-        tag = entry["scheduler"] + ("+batch" if entry["batch_timeouts"] else "")
-        lines.append(
-            f"    {tag:<16} {entry['events_per_s']:>10,.0f} "
-            f"({entry['n_events']} events, {entry['wall_s']:.2f}s)"
-        )
-    lines.append("  queue-op micro (push+pop cycles/s at depth 4096):")
-    for entry in report["micro"]:
-        lines.append(
-            f"    {entry['backend']:<16} {entry['ops_per_s']:>10,.0f}"
-        )
-    lines.append(
-        "  equivalence: digests "
-        + ("MATCH" if equivalence["digests_match"] else "DIVERGE")
-    )
-    for sweep in report["scales"].values():
-        lines.append(render_scale_sweep(sweep))
-    return "\n".join(lines)
 
 
 def render_bench(report: Dict[str, Any]) -> str:

@@ -2,13 +2,10 @@
 
 The paper's machine is 20 nodes; this module asks what happens to the
 *simulator* (not the simulated machine) as the model grows 50x past
-that — the question behind the calendar-queue backend.  One sweep runs
-the same workload cell at a ladder of machine sizes and reports, per
-scale:
+that.  One sweep runs the same workload cell at a ladder of machine
+sizes and reports, per scale:
 
 * raw kernel figures — events simulated, wall seconds, events/sec;
-* queue pressure — peak scheduled-event backlog, which is what actually
-  separates O(log n) heap pops from O(1) calendar pops;
 * bottleneck attribution — the mean per-node wall-time split from
   :mod:`repro.obs.attribution` and its dominant component, so a sweep
   shows *why* scaling bends (e.g. sync_wait growing superlinearly)
@@ -23,19 +20,17 @@ site.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from ..experiments.config import ExperimentConfig
 from ..obs.attribution import COMPONENTS, dominant_component
 
 __all__ = [
     "DEFAULT_SCALES",
-    "render_scale_sweep",
     "run_scale_sweep",
-    "sweep_bottlenecks",
 ]
 
-#: The ladder the committed artifact uses: the issue's 100 -> 1000 span.
+#: The default ladder: 5x to 50x the paper's 20-node machine.
 DEFAULT_SCALES = (100, 250, 500, 1000)
 
 
@@ -56,8 +51,6 @@ def run_scale_sweep(
     scales: Sequence[int] = DEFAULT_SCALES,
     seed: int = 1,
     reads_per_node: int = 20,
-    scheduler: str = "heap",
-    batch_timeouts: bool = False,
     pattern: str = "gw",
     sync_style: str = "none",
 ) -> Dict[str, Any]:
@@ -81,8 +74,6 @@ def run_scale_sweep(
             total_reads=total,
             seed=seed,
             record_trace=False,
-            scheduler=scheduler,
-            batch_timeouts=batch_timeouts,
         )
         start = time.perf_counter()  # simlint: allow-wallclock
         result = run_experiment(config)
@@ -107,33 +98,6 @@ def run_scale_sweep(
         "sync_style": sync_style,
         "seed": seed,
         "reads_per_node": reads_per_node,
-        "scheduler": scheduler,
-        "batch_timeouts": batch_timeouts,
         "entries": entries,
     }
 
-
-def render_scale_sweep(report: Dict[str, Any]) -> str:
-    """Human-readable table of one sweep."""
-    lines = [
-        f"scale sweep [{report['scheduler']}"
-        + (", batched" if report["batch_timeouts"] else "")
-        + f"] {report['pattern']}/{report['sync_style']}, "
-        f"{report['reads_per_node']} reads/node, seed {report['seed']}:",
-        "  nodes    events    wall_s    events/s  bottleneck",
-    ]
-    for entry in report["entries"]:
-        lines.append(
-            f"  {entry['n_nodes']:>5}  {entry['n_events']:>8}  "
-            f"{entry['wall_s']:>8.2f}  {entry['events_per_s']:>10,.0f}"
-            f"  {entry['bottleneck']}"
-        )
-    return "\n".join(lines)
-
-
-def sweep_bottlenecks(report: Dict[str, Any]) -> Dict[int, str]:
-    """``{n_nodes: dominant component}`` for one sweep report."""
-    return {
-        entry["n_nodes"]: entry["bottleneck"]
-        for entry in report["entries"]
-    }

@@ -2,17 +2,15 @@
 
 A from-scratch, generator-driven simulator (no external dependency) with:
 
-* :class:`~repro.sim.core.Environment` — clock + pluggable event queue
-  (reference binary heap, or the calendar-queue backend of
-  :mod:`repro.sim.scheduler` — bit-identical order, O(1) amortized);
+* :class:`~repro.sim.core.Environment` — clock + binary-heap event queue
+  served in ``(time, priority, sequence)`` order;
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AllOf`/:class:`~repro.sim.events.AnyOf`;
 * :class:`~repro.sim.process.Process` with interrupts;
 * resources (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`,
   :class:`~repro.sim.resources.Store`);
 * synchronization (:class:`~repro.sim.sync.Barrier`,
-  :class:`~repro.sim.sync.Gate`, :class:`~repro.sim.sync.CountdownLatch`);
+  :class:`~repro.sim.sync.Gate`);
 * reproducible named RNG streams (:class:`~repro.sim.rng.RandomStreams`);
 * measurement (:class:`~repro.sim.monitor.Tally`,
   :class:`~repro.sim.monitor.TimeWeighted`).
@@ -24,29 +22,14 @@ from .core import EmptySchedule, Environment, StopSimulation
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .monitor import Tally, TimeWeighted
 from .process import Interrupt, Process
-from .resources import (
-    Container,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from .resources import Resource, Store
 from .rng import RandomStreams
-from .scheduler import (
-    SCHEDULER_NAMES,
-    CalendarEventQueue,
-    HeapEventQueue,
-    make_event_queue,
-)
-from .sync import Barrier, CountdownLatch, Gate
+from .sync import Barrier, Gate
 
 __all__ = [
     "Environment",
     "EmptySchedule",
     "StopSimulation",
-    "SCHEDULER_NAMES",
-    "HeapEventQueue",
-    "CalendarEventQueue",
-    "make_event_queue",
     "Event",
     "Timeout",
     "Condition",
@@ -56,12 +39,9 @@ __all__ = [
     "Process",
     "Interrupt",
     "Resource",
-    "PriorityResource",
-    "Container",
     "Store",
     "Barrier",
     "Gate",
-    "CountdownLatch",
     "RandomStreams",
     "Tally",
     "TimeWeighted",

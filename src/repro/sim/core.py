@@ -1,34 +1,33 @@
 """The simulation environment: clock, event queue, and run loop.
 
-Events are served in ascending ``(time, priority, sequence)`` order.  The
-sequence number makes the order of simultaneous events fully
-deterministic: ties are broken by scheduling order, so a given seed always
-produces the identical execution — a property the experiment harness relies
-on for reproducibility.
-
-The queue discipline behind that order is a pluggable backend (see
-:mod:`repro.sim.scheduler`): ``scheduler="heap"`` is the reference binary
-heap, ``scheduler="calendar"`` a calendar queue with O(1) amortized
-operations.  Both serve the exact same total order, so event-trace
-digests are bit-identical across backends.
+Events are served from a binary heap in ascending ``(time, priority,
+sequence)`` order.  The sequence number makes the order of simultaneous
+events fully deterministic: ties are broken by scheduling order, so a given
+seed always produces the identical execution — a property the experiment
+harness relies on for reproducibility.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from functools import partial
+from heapq import heappop, heappush
+from math import inf
+from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.invariants import InvariantViolation
 from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
 from .process import Process, ProcessGenerator
-from .scheduler import SCHEDULER_NAMES, AnyEventQueue, make_event_queue
 
 __all__ = [
     "Environment",
     "EmptySchedule",
     "StopSimulation",
     "StepObserver",
-    "SCHEDULER_NAMES",
 ]
+
+#: A queue entry: ``(time, priority, sequence, event)``.  The sequence
+#: number is unique, so the event itself is never compared.
+EventKey = Tuple[float, int, int, Event]
 
 #: Signature of a step observer: ``(time, priority, sequence, event)``,
 #: called for every event popped by :meth:`Environment.step` *before* its
@@ -60,16 +59,6 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulation clock (milliseconds).
-    scheduler:
-        Event-queue backend: ``"heap"`` (the reference binary heap) or
-        ``"calendar"`` (calendar queue with overflow rung).  Both yield
-        bit-identical executions; see :mod:`repro.sim.scheduler`.
-    batch_timeouts:
-        Enable same-instant coalescing for :meth:`batched_timeout`
-        call sites (one queue entry shared by every waiter armed for
-        the same instant).  Off by default: coalescing changes the
-        event population, so it is an opt-in sizing knob rather than
-        part of the reference semantics.
     """
 
     __slots__ = (
@@ -80,27 +69,15 @@ class Environment:
         "_step_observers",
         "_push",
         "_pop",
-        "_scheduler",
-        "_batch_timeouts",
-        "_shared_timeouts",
     )
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        scheduler: str = "heap",
-        batch_timeouts: bool = False,
-    ) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: AnyEventQueue = make_event_queue(scheduler, self._now)
-        # Bound backend primitives, hoisted once: for the heap backend
-        # these are the C heappush/heappop partials, so pluggability
-        # costs the reference path nothing per event.
-        self._push = self._queue.push
-        self._pop = self._queue.pop
-        self._scheduler = scheduler
-        self._batch_timeouts = batch_timeouts
-        self._shared_timeouts: Dict[float, Timeout] = {}
+        self._queue: List[EventKey] = []
+        # The C heap primitives bound to the queue once, so scheduling
+        # and stepping pay no Python-level wrapper frame per event.
+        self._push: Callable[[EventKey], None] = partial(heappush, self._queue)
+        self._pop: Callable[[], EventKey] = partial(heappop, self._queue)
         self._eid = 0
         self._active_proc: Optional[Process] = None
         self._step_observers: List[StepObserver] = []
@@ -111,16 +88,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time in milliseconds."""
         return self._now
-
-    @property
-    def scheduler(self) -> str:
-        """Name of the event-queue backend this environment runs on."""
-        return self._scheduler
-
-    @property
-    def batch_timeouts(self) -> bool:
-        """Whether :meth:`batched_timeout` coalesces same-instant arms."""
-        return self._batch_timeouts
 
     @property
     def event_count(self) -> int:
@@ -134,7 +101,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
-        return self._queue.peek_time()
+        return self._queue[0][0] if self._queue else inf
 
     # -- factories ------------------------------------------------------------
 
@@ -145,37 +112,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that fires after ``delay`` ms."""
         return Timeout(self, delay, value)
-
-    def batched_timeout(self, delay: float) -> Timeout:
-        """A value-less timeout that may share its queue entry.
-
-        With ``batch_timeouts`` enabled, every call armed for the same
-        absolute instant (while the first is still pending) returns one
-        shared :class:`Timeout` — waiters pile their callbacks onto a
-        single queue entry, so N same-instant arms cost one scheduler
-        operation instead of N.  Used on fixed-cost paths (disk service
-        times, cache metadata operations) where many nodes arm
-        identical delays in the same step.  With batching disabled
-        (the default) this is exactly :meth:`timeout`.
-        """
-        if not self._batch_timeouts:
-            return Timeout(self, delay)
-        at = self._now + delay
-        shared = self._shared_timeouts
-        hit = shared.get(at)
-        if hit is not None and hit.callbacks is not None:
-            return hit
-        timeout = Timeout(self, delay)
-        shared[at] = timeout
-        if len(shared) > 256:
-            # Drop fired entries (time only advances, so stale keys can
-            # never be armed again); insertion order is preserved.
-            self._shared_timeouts = {
-                t: ev
-                for t, ev in shared.items()
-                if ev.callbacks is not None
-            }
-        return timeout
 
     def process(
         self, generator: ProcessGenerator, name: Optional[str] = None
@@ -201,10 +137,6 @@ class Environment:
         the event itself — and must not mutate simulation state.
         """
         self._step_observers.append(observer)
-
-    def remove_step_observer(self, observer: StepObserver) -> None:
-        """Unregister a previously added step observer."""
-        self._step_observers.remove(observer)
 
     # -- scheduling -----------------------------------------------------------
 

@@ -12,9 +12,10 @@ Interrupts
 ----------
 :meth:`Process.interrupt` throws an :class:`Interrupt` into the generator at
 the earliest opportunity, detaching it from whatever event it was waiting on
-(the event itself is unaffected and may still fire later).  This mirrors the
-facility the RAPID Transit prefetch daemon needs to be cancellable between
-actions.
+(the event itself is unaffected and may still fire later).  No simulator
+component interrupts a process: the prefetch daemon gives up the CPU only
+at the end of an action (Section IV-A) and checks its node's idle gate
+between actions.
 """
 
 from __future__ import annotations

@@ -7,21 +7,19 @@ time": time between a process's arrival at a synchronization point and the
 moment all processes achieve synchrony).
 
 :class:`Gate` is a level-triggered condition used by the prefetch daemon to
-sleep until its node's user process becomes idle.  :class:`CountdownLatch`
-fires once after a fixed number of countdown steps — used to detect
-whole-run completion.
+sleep until its node's user process becomes idle.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Environment
 
-__all__ = ["Barrier", "Gate", "CountdownLatch"]
+__all__ = ["Barrier", "Gate"]
 
 
 class Barrier:
@@ -123,28 +121,3 @@ class Gate:
         else:
             self._close_waiters.append(event)
         return event
-
-
-class CountdownLatch:
-    """Fires :attr:`done` once :meth:`count_down` has been called ``count``
-    times.  Extra countdowns beyond zero are ignored."""
-
-    def __init__(self, env: "Environment", count: int) -> None:
-        if count <= 0:
-            raise ValueError(f"count {count} must be positive")
-        self.env = env
-        self._remaining = count
-        self.done: Event = Event(env)
-
-    @property
-    def remaining(self) -> int:
-        return self._remaining
-
-    def count_down(self, n: int = 1) -> None:
-        if n <= 0:
-            raise ValueError(f"n {n} must be positive")
-        if self._remaining == 0:
-            return
-        self._remaining = max(0, self._remaining - n)
-        if self._remaining == 0:
-            self.done.succeed(self.env.now)

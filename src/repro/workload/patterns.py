@@ -45,7 +45,7 @@ experiment into a disk-contention pathology instead of a prefetching one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

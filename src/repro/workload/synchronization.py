@@ -21,7 +21,7 @@ barrier records every such wait.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 from ..sim.events import Event
 from .patterns import AccessPattern

@@ -31,6 +31,15 @@ def test_validation():
         ExperimentConfig(lead=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(min_prefetch_time=-0.5)
+    # Sizing fields fail at construction, naming the field.
+    for name in (
+        "n_nodes", "n_disks", "file_blocks", "total_reads",
+        "per_proc_k", "total_k",
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            ExperimentConfig(**{name: 0})
+    with pytest.raises(ValueError, match="^per_proc_k must be positive"):
+        ExperimentConfig(sync_style="per-proc", per_proc_k=-1)
 
 
 def test_lw_portion_combination_rejected():

@@ -4,8 +4,6 @@ Small configurations (4 nodes, short strings) so the whole file runs in a
 few seconds while still exercising every subsystem together.
 """
 
-import pytest
-
 from repro.experiments import ExperimentConfig, run_experiment, run_pair
 
 SMALL = dict(n_nodes=4, n_disks=4, file_blocks=200, total_reads=200)

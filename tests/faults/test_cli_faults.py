@@ -1,7 +1,5 @@
 """CLI integration for the faults group and --faults plumbing."""
 
-import pytest
-
 from repro.cli import FIGURE_IDS, main
 from repro.faults import FaultPlan
 

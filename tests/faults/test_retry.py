@@ -1,7 +1,5 @@
 """The supervised fetch path: retries, backoff, timeouts, exhaustion."""
 
-import pytest
-
 from repro.faults import (
     FailStop,
     FaultPlan,

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.fs import BufferState, CacheConfig
-from repro.fs.cache import BlockCache
-from repro.prefetch import NullPolicy, OraclePolicy
+from repro.prefetch import OraclePolicy
 from repro.sim import RandomStreams
 from repro.workload import ProgressTracker, make_pattern
 

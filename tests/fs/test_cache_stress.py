@@ -1,9 +1,6 @@
 """Stress tests for the cache's rare paths: allocation waits when every
 demand buffer is pinned, and table re-checks after waiting."""
 
-import pytest
-
-from repro.fs import BufferState
 from repro.sim import RandomStreams
 
 from ..helpers import build_stack, user_read

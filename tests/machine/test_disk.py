@@ -130,10 +130,7 @@ def test_seek_model_head_movement():
         rotation_time=10.0,
     )
     env = Environment()
-    disk = Disk(env, 0, model)
-
-    class Dummy:
-        pass
+    Disk(env, 0, model)
 
     # Direct model check: block 0 (cyl 0) then block 95 (cyl 9).
     from repro.machine.disk import DiskRequest

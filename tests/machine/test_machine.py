@@ -3,7 +3,6 @@
 import pytest
 
 from repro.machine import (
-    CostModel,
     FixedDiskModel,
     Machine,
     MachineConfig,

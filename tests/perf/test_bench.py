@@ -99,60 +99,3 @@ def test_multi_core_parallel_speedup_is_gated(tiny_bench, tmp_path, monkeypatch)
     fast["suite"]["parallel_speedup"] = report["suite"]["parallel_speedup"] * 10
     failures = compare_baseline(report, fast, max_regress=0.20)
     assert any("parallel speedup" in line for line in failures)
-
-
-@pytest.fixture()
-def tiny_scheduler_bench(monkeypatch):
-    monkeypatch.setattr(bench, "_SCHED_OVERRIDES", TINY)
-    monkeypatch.setattr(bench, "_QUICK_OVERRIDES", TINY)
-    monkeypatch.setattr(bench, "_MICRO_DEPTH", 64)
-    monkeypatch.setattr(bench, "_MICRO_OPS", 500)
-
-
-def test_scheduler_bench_report(tiny_scheduler_bench, tmp_path):
-    report = bench.run_scheduler_bench(
-        label="sched", scales=(4, 8), reads_per_node=4, output_dir=tmp_path
-    )
-    assert report["ok"] is True
-    assert report["equivalence"]["digests_match"] is True
-    tags = {
-        (entry["scheduler"], entry["batch_timeouts"])
-        for entry in report["matrix"]
-    }
-    assert tags == {
-        ("heap", False), ("heap", True),
-        ("calendar", False), ("calendar", True),
-    }
-    # Batching never grows the popped-event population (at this tiny
-    # sizing two nodes may simply never arm the same instant twice).
-    by_tag = {
-        (e["scheduler"], e["batch_timeouts"]): e["n_events"]
-        for e in report["matrix"]
-    }
-    assert by_tag[("heap", True)] <= by_tag[("heap", False)]
-    assert by_tag[("heap", False)] == by_tag[("calendar", False)]
-    assert {m["backend"] for m in report["micro"]} == {"heap", "calendar"}
-    for sweep in report["scales"].values():
-        assert [e["n_nodes"] for e in sweep["entries"]] == [4, 8]
-        for entry in sweep["entries"]:
-            assert entry["bottleneck"] in entry["attribution_mean_ms"]
-    on_disk = json.loads((tmp_path / "BENCH_sched.json").read_text())
-    assert on_disk["equivalence"]["digests_match"] is True
-
-
-def test_compare_scheduler_baseline(tiny_scheduler_bench, tmp_path):
-    report = bench.run_scheduler_bench(
-        label="schedcmp", scales=(4,), reads_per_node=4, output_dir=tmp_path
-    )
-    assert bench.compare_scheduler_baseline(report, report) == []
-    fast = json.loads(json.dumps(report))
-    for entry in fast["matrix"]:
-        entry["events_per_s"] *= 10
-    failures = bench.compare_scheduler_baseline(report, fast)
-    assert len(failures) == 4  # every backend x batching cell regressed
-    broken = json.loads(json.dumps(report))
-    broken["equivalence"]["digests_match"] = False
-    # Divergence is judged from the *report*, not the baseline.
-    assert bench.compare_scheduler_baseline(broken, report) == [
-        "backend digests diverge (heap != calendar)"
-    ]

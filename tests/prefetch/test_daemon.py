@@ -142,7 +142,6 @@ def test_min_prefetch_time_throttles():
         _, cpu = yield from node.idle_wait(
             cpu, env.timeout(10.0), IdleKind.SYNC
         )
-        before = metrics.prefetch_outcomes.get("success", 0)
         # Second idle period: estimate ~10 ms < 100 ms: no new actions.
         _, cpu = yield from node.idle_wait(
             cpu, env.timeout(10.0), IdleKind.SYNC

@@ -1,8 +1,8 @@
-"""Tests for Resource, PriorityResource, Container, and Store."""
+"""Tests for Resource and Store."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -147,146 +147,6 @@ def test_cancel_pending_request():
     assert granted == ["cancelled", "patient"]
 
 
-# -------------------------------------------------------- PriorityResource
-
-
-def test_priority_resource_orders_by_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(10.0)
-        res.release(req)
-
-    def user(prio, tag, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=prio)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    env.process(holder())
-    env.process(user(5, "low", 1.0))
-    env.process(user(1, "high", 2.0))
-    env.run()
-    assert order == ["high", "low"]
-
-
-def test_priority_resource_fifo_within_priority():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(10.0)
-        res.release(req)
-
-    def user(tag, arrive):
-        yield env.timeout(arrive)
-        req = res.request(priority=3)
-        yield req
-        order.append(tag)
-        res.release(req)
-
-    env.process(holder())
-    env.process(user("first", 1.0))
-    env.process(user("second", 2.0))
-    env.run()
-    assert order == ["first", "second"]
-
-
-def test_priority_resource_cancel():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder():
-        req = res.request(priority=0)
-        yield req
-        yield env.timeout(10.0)
-        res.release(req)
-
-    def quitter():
-        yield env.timeout(1.0)
-        req = res.request(priority=1)
-        yield env.timeout(1.0)
-        req.cancel()
-
-    def stayer():
-        yield env.timeout(2.0)
-        req = res.request(priority=2)
-        yield req
-        order.append("stayer")
-        res.release(req)
-
-    env.process(holder())
-    env.process(quitter())
-    env.process(stayer())
-    env.run()
-    assert order == ["stayer"]
-
-
-# --------------------------------------------------------------- Container
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=10)
-    c = Container(env, capacity=10, init=3)
-    with pytest.raises(ValueError):
-        c.put(0)
-    with pytest.raises(ValueError):
-        c.get(-1)
-
-
-def test_container_get_blocks_until_put():
-    env = Environment()
-    c = Container(env, init=0)
-    got = []
-
-    def consumer():
-        amount = yield c.get(5)
-        got.append((env.now, amount))
-
-    def producer():
-        yield env.timeout(3.0)
-        yield c.put(5)
-
-    env.process(consumer())
-    env.process(producer())
-    env.run()
-    assert got == [(3.0, 5)]
-    assert c.level == 0
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    c = Container(env, capacity=10, init=8)
-    done = []
-
-    def producer():
-        yield c.put(5)
-        done.append(env.now)
-
-    def consumer():
-        yield env.timeout(4.0)
-        yield c.get(4)
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert done == [4.0]
-    assert c.level == 9
-
-
 # ------------------------------------------------------------------- Store
 
 
@@ -349,51 +209,6 @@ def test_store_capacity_blocks_put():
     env.process(consumer())
     env.run()
     assert times == [0.0, 5.0]
-
-
-def test_store_filtered_get():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer():
-        yield store.put({"kind": "demand", "block": 1})
-        yield store.put({"kind": "prefetch", "block": 2})
-
-    def consumer():
-        item = yield store.get(filter=lambda x: x["kind"] == "prefetch")
-        got.append(item["block"])
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert got == [2]
-    assert list(store.items) == [{"kind": "demand", "block": 1}]
-
-
-def test_store_filtered_getter_does_not_starve_later_getters():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def blocked_consumer():
-        item = yield store.get(filter=lambda x: x == "never")
-        got.append(item)
-
-    def normal_consumer():
-        yield env.timeout(1.0)
-        item = yield store.get()
-        got.append(item)
-
-    def producer():
-        yield env.timeout(2.0)
-        yield store.put("plain")
-
-    env.process(blocked_consumer())
-    env.process(normal_consumer())
-    env.process(producer())
-    env.run()
-    assert got == ["plain"]
 
 
 def test_store_len():

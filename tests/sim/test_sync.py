@@ -1,8 +1,8 @@
-"""Tests for Barrier, Gate, and CountdownLatch."""
+"""Tests for Barrier and Gate."""
 
 import pytest
 
-from repro.sim import Barrier, CountdownLatch, Environment, Gate
+from repro.sim import Barrier, Environment, Gate
 
 
 # ----------------------------------------------------------------- Barrier
@@ -152,45 +152,3 @@ def test_gate_double_open_is_idempotent():
     gate.open()
     gate.open()
     assert gate.is_open
-
-
-# --------------------------------------------------------- CountdownLatch
-
-
-def test_latch_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        CountdownLatch(env, count=0)
-    latch = CountdownLatch(env, count=2)
-    with pytest.raises(ValueError):
-        latch.count_down(0)
-
-
-def test_latch_fires_at_zero():
-    env = Environment()
-    latch = CountdownLatch(env, count=3)
-    done = []
-
-    def waiter():
-        t = yield latch.done
-        done.append(t)
-
-    def worker(delay):
-        yield env.timeout(delay)
-        latch.count_down()
-
-    env.process(waiter())
-    for d in (1.0, 2.0, 7.0):
-        env.process(worker(d))
-    env.run()
-    assert done == [7.0]
-    assert latch.remaining == 0
-
-
-def test_latch_extra_countdowns_ignored():
-    env = Environment()
-    latch = CountdownLatch(env, count=1)
-    latch.count_down()
-    latch.count_down()  # no error, no double-fire
-    env.run()
-    assert latch.done.ok

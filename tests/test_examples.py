@@ -5,7 +5,6 @@ two long parameter sweeps are exercised indirectly by the benchmarks).
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest

@@ -12,13 +12,18 @@ change leaked into the read path — fix the leak, do not re-record.
 
 A read-write faulted cell then proves the new machinery is itself
 deterministic (run-twice, diff event traces and fault schedules).
+
+A second table pins five cells that exercise what the read-only table
+does not — fault injection, the observability recorder, the adaptive
+policy, and the write path — so any change to the event kernel's
+``(time, priority, sequence)`` order shows up as a digest change.
 """
 
 import pytest
 
 from repro.analysis.audit import run_twice_and_diff, run_with_audit
 from repro.experiments import ExperimentConfig
-from repro.faults import FailSlow, FaultPlan, ResiliencePolicy
+from repro.faults import FailSlow, FaultPlan, ResiliencePolicy, TransientErrors
 
 #: blake2b/16 event-trace digests keyed by (pattern, prefetch on),
 #: recorded before the write path existed.  Do not update these to make
@@ -70,6 +75,65 @@ def test_read_only_patterns_bit_identical_to_pre_write_era(
         "has leaked into the read path"
     )
 
+
+#: Downscaled sizing of the kernel-order cells below.
+_SMALL = {"n_nodes": 4, "n_disks": 4, "file_blocks": 200, "total_reads": 200}
+
+_FAIL_SLOW_TRANSIENT = FaultPlan(
+    faults=(
+        FailSlow(disk=1, factor=5.0, start=100.0, end=900.0),
+        TransientErrors(disk=2, probability=0.3, start=100.0, end=800.0),
+    ),
+    resilience=ResiliencePolicy(
+        timeout=240.0, max_retries=40, backoff_base=10.0, backoff_max=120.0
+    ),
+)
+
+#: blake2b/16 event-trace digests (``sweep_interval=None``) keyed by cell
+#: name: (config, obs recorder attached, digest).  Same rule as above —
+#: do not re-record: a changed digest means the event order changed.
+KERNEL_ORDER_DIGESTS = {
+    "gw-oracle": (
+        ExperimentConfig(
+            pattern="gw", sync_style="per-proc", n_nodes=4, n_disks=4,
+            file_blocks=400, total_reads=400, seed=1,
+        ),
+        False,
+        "acdda9762ee3e6a06e34e45f8e17e09e",
+    ),
+    "gw-faulted": (
+        ExperimentConfig(pattern="gw", faults=_FAIL_SLOW_TRANSIENT, **_SMALL),
+        False,
+        "4a0f3824f06e4d445e9188abec4df222",
+    ),
+    "grp-per-proc-obs": (
+        ExperimentConfig(pattern="grp", sync_style="per-proc", **_SMALL),
+        True,
+        "952e1e403429634933676d9db5ef077c",
+    ),
+    "gw-adaptive": (
+        ExperimentConfig(
+            pattern="gw", sync_style="none", policy="adaptive", **_SMALL
+        ),
+        False,
+        "7d1826fd7363c709092fc13afc70fc87",
+    ),
+    "lfp-rw-oracle": (
+        ExperimentConfig(pattern="lfp-rw", **_SMALL),
+        False,
+        "94afad335c44dfca9d538f1b9cb9774c",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(KERNEL_ORDER_DIGESTS))
+def test_kernel_event_order_pinned(cell):
+    config, obs, digest = KERNEL_ORDER_DIGESTS[cell]
+    report = run_with_audit(config, sweep_interval=None, obs=obs)
+    assert report.trace_digest == digest, (
+        f"cell {cell!r} no longer matches its pinned event trace: the "
+        "kernel's (time, priority, sequence) order has changed"
+    )
 
 def test_read_only_run_arms_no_write_machinery():
     result = run_with_audit(_read_only_config("lfp", True)).result

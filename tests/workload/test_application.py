@@ -1,7 +1,5 @@
 """Tests for the synthetic application process."""
 
-import pytest
-
 from repro.sim import RandomStreams
 from repro.workload import (
     ProgressTracker,

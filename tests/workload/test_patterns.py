@@ -119,8 +119,6 @@ def test_string_for_and_portions_for():
 
 
 def test_validation_catches_bad_data():
-    import dataclasses
-
     from repro.workload.patterns import AccessPattern
 
     with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim import RandomStreams
 from repro.workload import ProgressTracker, make_pattern
 
 
