@@ -117,7 +117,6 @@ def run_with_policy(policy: Optional[PrefetchPolicy], seed: int = 1):
 
     if policy is not None:
         policy.bind(cache)
-        cache.access_observer = policy.observe
         for node in machine.nodes:
             PrefetchDaemon(node, cache, policy, metrics, DaemonConfig())
 

@@ -37,10 +37,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.config import ExperimentConfig
     from ..experiments.runner import RunResult
     from ..fs.cache import BlockCache
-    from ..fs.fileserver import FileServer
     from ..machine.machine import Machine
     from ..obs.recorder import ObsData
-    from ..sim.process import Process
 
 __all__ = [
     "AuditReport",
@@ -111,8 +109,6 @@ class _CompositeInstrumentation:
 
     Used when a run is both audited and observed: the auditor and the
     observability recorder each get every hook, in registration order.
-    Receivers without an ``on_apps`` hook are skipped for that call
-    (the hook is optional in the RunInstrumentation protocol).
     """
 
     def __init__(self, *parts: Any) -> None:
@@ -127,14 +123,6 @@ class _CompositeInstrumentation:
     ) -> None:
         for part in self.parts:
             part.on_wired(env, machine, cache)
-
-    def on_apps(
-        self, env: Environment, server: "FileServer", apps: List["Process"]
-    ) -> None:
-        for part in self.parts:
-            hook = getattr(part, "on_apps", None)
-            if hook is not None:
-                hook(env, server, apps)
 
 
 @dataclass

@@ -1,12 +1,11 @@
 """Hook-purity checker: observer callables must be passive.
 
-PR 5 proved *at runtime* that attaching the observability recorder does
-not perturb a run (obs-on/off event hashes bit-identical).  This pass is
-the static counterpart, generalized to every observer surface: a hook
-registered on the simulation (``Environment.add_step_observer``, or
-assignment to a ``read_observer`` / ``obs_read_observer`` /
-``request_observer`` / ``action_observer`` attribute) must only *read*
-simulation state and write its own bookkeeping.
+The observability tests prove *at runtime* that attaching the recorder
+does not perturb a run (obs-on/off event hashes bit-identical).  This
+pass is the static counterpart, generalized to every observer surface: a
+hook registered on the simulation (``Environment.add_step_observer(fn)``
+or ``Environment.subscribe(point, fn)``) must only *read* simulation
+state and write its own bookkeeping.
 
 For each registration site the checker resolves the registered callable
 (a function, a ``self.method``, or a callable instance attribute whose

@@ -33,18 +33,10 @@ __all__ = [
     "summarize_source",
 ]
 
-#: Observer attributes whose assignment registers a hook on a live object.
-HOOK_ATTRS = frozenset(
-    {
-        "read_observer",
-        "obs_read_observer",
-        "request_observer",
-        "action_observer",
-    }
-)
-
-#: Methods whose call registers the argument as a step observer.
-HOOK_REGISTER_CALLS = frozenset({"add_step_observer"})
+#: Methods whose call registers an observer, mapped to the position of
+#: the registered callable among their arguments:
+#: ``env.add_step_observer(fn)`` and ``env.subscribe(point, fn)``.
+HOOK_REGISTER_CALLS = {"add_step_observer": 0, "subscribe": 1}
 
 #: Normalized dotted prefixes that draw entropy.
 _RNG_PREFIXES = ("random.", "numpy.random.", "secrets.")
@@ -137,7 +129,7 @@ class ClassInfo:
 class HookRegistration:
     """One observer registration site."""
 
-    kind: str  # hook attribute name, or "add_step_observer"
+    kind: str  # probe point ("fs.read"), "subscribe", or "add_step_observer"
     target: str  # value as written ("self._on_read"), or "<opaque>"
     line: int
     enclosing: str  # qname of the function containing the registration
@@ -357,37 +349,42 @@ class _ModuleVisitor:
     def _inspect_call(self, info: FunctionInfo, node: ast.Call) -> None:
         func = node.func
         dotted = dotted_name(func)
-        if dotted is not None:
-            info.calls.append(CallSite(name=dotted, line=node.lineno))
-            # A bare name that aliases an entropy API (``from random
-            # import Random``) is a source the Attribute walk misses.
-            if isinstance(func, ast.Name):
-                self._record_source(info, dotted, node.lineno)
-            # Mutating method call through a name root: x.y.append(...)
-            if isinstance(func, ast.Attribute):
-                root = dotted.split(".")[0]
-                info.mutations.append(
-                    MutationSite(
-                        root=root,
-                        desc=f".{func.attr}()",
-                        line=node.lineno,
-                    )
-                )
-            # Step-observer registration: <obj>.add_step_observer(fn)
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in HOOK_REGISTER_CALLS
-                and node.args
-            ):
-                target = dotted_name(node.args[0]) or "<opaque>"
-                self.summary.hooks.append(
-                    HookRegistration(
-                        kind=func.attr,
-                        target=target,
-                        line=node.lineno,
-                        enclosing=info.qname,
-                    )
-                )
+        if dotted is None:
+            return
+        info.calls.append(CallSite(name=dotted, line=node.lineno))
+        # A bare name that aliases an entropy API (``from random
+        # import Random``) is a source the Attribute walk misses.
+        if isinstance(func, ast.Name):
+            self._record_source(info, dotted, node.lineno)
+        if not isinstance(func, ast.Attribute):
+            return
+        # Mutating method call through a name root: x.y.append(...)
+        info.mutations.append(
+            MutationSite(
+                root=dotted.split(".")[0],
+                desc=f".{func.attr}()",
+                line=node.lineno,
+            )
+        )
+        # Observer registration: <obj>.add_step_observer(fn), or
+        # <obj>.subscribe(point, fn) — named by its point when constant.
+        index = HOOK_REGISTER_CALLS.get(func.attr)
+        if index is None or len(node.args) <= index:
+            return
+        point = node.args[0]
+        kind = (
+            str(point.value)
+            if index and isinstance(point, ast.Constant)
+            else func.attr
+        )
+        self.summary.hooks.append(
+            HookRegistration(
+                kind=kind,
+                target=dotted_name(node.args[index]) or "<opaque>",
+                line=node.lineno,
+                enclosing=info.qname,
+            )
+        )
 
     def _inspect_write(
         self, info: FunctionInfo, node: ast.Assign | ast.AugAssign
@@ -416,20 +413,6 @@ class _ModuleVisitor:
                     line=node.lineno,
                 )
             )
-            # Observer-attribute assignment registers a hook.
-            if isinstance(node, ast.Assign) and base.attr in HOOK_ATTRS:
-                value = node.value
-                if isinstance(value, ast.Constant):
-                    continue  # clearing a hook (= None) is not a hook
-                hook_target = dotted_name(value) or "<opaque>"
-                self.summary.hooks.append(
-                    HookRegistration(
-                        kind=base.attr,
-                        target=hook_target,
-                        line=node.lineno,
-                        enclosing=info.qname,
-                    )
-                )
 
     # -- definitions ---------------------------------------------------------
 

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 #: Bump when rule or summary semantics change: invalidates every entry.
-_ANALYZER_VERSION = "simlint-v2.0"
+_ANALYZER_VERSION = "simlint-v2.1"
 
 _DIGEST_SIZE = 16
 

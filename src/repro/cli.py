@@ -1345,7 +1345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.add_argument("-o", "--output", required=True,
                        help="trace file to write (JSON lines)")
-    p_rec.add_argument("--pattern", choices=PATTERN_NAMES, default="gw")
+    p_rec.add_argument("--pattern", choices=ALL_PATTERN_NAMES, default="gw")
     p_rec.add_argument("--sync", choices=SYNC_STYLES, default="none")
     p_rec.add_argument("--compute", type=float, default=30.0)
     p_rec.add_argument("--seed", type=int, default=1)

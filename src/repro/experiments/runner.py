@@ -51,10 +51,11 @@ class RunInstrumentation(Protocol):
     """Hooks for auditing a run without altering its behaviour.
 
     Implementations (see :class:`repro.analysis.audit.Auditor`) attach
-    read-only step observers and periodic invariant sweeps.  Hooks are
-    invoked at two points so observers can cover the *entire* event
-    stream, including process-initialization events scheduled while the
-    machine is wired up.
+    read-only step observers, probe subscriptions
+    (:meth:`~repro.sim.core.Environment.subscribe`) and periodic
+    invariant sweeps.  Hooks are invoked at two points so observers can
+    cover the *entire* event stream, including process-initialization
+    events scheduled while the machine is wired up.
     """
 
     def on_environment(self, env: Environment) -> None:
@@ -64,13 +65,6 @@ class RunInstrumentation(Protocol):
         self, env: Environment, machine: Machine, cache: BlockCache
     ) -> None:
         """Called once machine, cache, and policies are constructed."""
-
-    # Implementations may additionally define
-    # ``on_apps(env, server, apps)`` — called after the application
-    # processes are created, just before the run starts.  The runner
-    # invokes it via ``getattr`` so existing two-hook instrumentations
-    # keep working unchanged (the observability recorder uses it to
-    # reach the file server).
 
 
 @dataclass
@@ -281,13 +275,17 @@ def run_materialized(
 
     ``sync_factory(env, pattern)`` overrides the sync coordinator and
     ``app_factory(node, server, tracker, sync, pattern, rng, config)``
-    the per-node user process; :mod:`repro.traces` uses both to record
-    and replay traces through this exact wiring.
+    the per-node user process; :mod:`repro.traces` uses both to replay
+    traces through this exact wiring.
     """
     env = Environment()
     if instrument is not None:
         instrument.on_environment(env)
     rng = rng if rng is not None else RandomStreams(config.seed)
+    trace: Optional[Trace] = None
+    if config.record_trace:
+        trace = Trace()
+        trace.tap(env)
 
     machine = Machine(
         env,
@@ -317,7 +315,6 @@ def run_materialized(
             prefetch_buffers_per_node=config.prefetch_buffers_per_node,
             prefetch_unused_limit=config.prefetch_unused_limit,
             replacement=config.replacement,
-            record_trace=config.record_trace,
         ),
         metrics,
     )
@@ -342,7 +339,6 @@ def run_materialized(
     if config.prefetch:
         policy = _build_policy(config, pattern, tracker)
         policy.bind(cache)
-        cache.access_observer = policy.observe
         daemon_config = DaemonConfig(
             min_prefetch_time=config.min_prefetch_time
         )
@@ -394,13 +390,12 @@ def run_materialized(
             _make_end_recorder(app_end_times, index, env)
         )
 
-    on_apps = getattr(instrument, "on_apps", None)
-    if on_apps is not None:
-        on_apps(env, server, apps)
-
     metrics.begin_run()
     env.run(until=env.all_of(apps))
     metrics.end_run()
+    # A held result keeps ``env`` alive (through ``metrics``); release the
+    # subscribers so it does not also keep the whole model graph alive.
+    env.unsubscribe_all()
 
     # Post-run consistency.
     if not tracker.all_done():
@@ -523,7 +518,7 @@ def run_materialized(
         retries_by_disk=dict(metrics.disk_retries),
         timeouts_by_disk=dict(metrics.disk_timeouts),
         metrics=metrics,
-        trace=cache.trace,
+        trace=trace,
         fault_events=resilience.log if resilience is not None else None,
     )
 

@@ -18,12 +18,14 @@ State machine (the classic three states):
 Transitions happen lazily inside :meth:`CircuitBreaker.allow` /
 ``record_*`` calls, which occur at deterministic points of the event
 schedule — no timer processes, so the breaker adds no events of its own.
+Each transition is emitted on the ``faults.signal`` probe point as
+``("breaker-open" | "breaker-half-open" | "breaker-close", disk_id)``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .events import FaultEventLog
 from .plan import ResiliencePolicy
@@ -39,6 +41,14 @@ class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
+
+
+#: The ``faults.signal`` kind emitted on entering each state.
+_BREAKER_SIGNAL = {
+    BreakerState.OPEN: "breaker-open",
+    BreakerState.HALF_OPEN: "breaker-half-open",
+    BreakerState.CLOSED: "breaker-close",
+}
 
 
 class CircuitBreaker:
@@ -64,11 +74,7 @@ class CircuitBreaker:
         self._open_until = 0.0
         self._degraded_since: Optional[float] = None
         self._intervals: List[Tuple[float, float]] = []
-        #: Optional fan-out for resilience signals; set by the layer.
-        #: Called as ``on_transition(disk_id, old_state, new_state)``.
-        self.on_transition: Optional[
-            Callable[[int, BreakerState, BreakerState], None]
-        ] = None
+        self._on_signal = env.probe("faults.signal")
 
     # -- gating ------------------------------------------------------------
 
@@ -144,8 +150,8 @@ class CircuitBreaker:
         self.metrics.record_breaker_transition(
             self.disk_id, old.value, new.value
         )
-        if self.on_transition is not None:
-            self.on_transition(self.disk_id, old, new)
+        for fn in self._on_signal:
+            fn(_BREAKER_SIGNAL[new], self.disk_id)
 
     def open_intervals(self, end: float) -> List[Tuple[float, float]]:
         """Spans during which the breaker was not CLOSED, closing any

@@ -38,7 +38,7 @@ from typing import (
     Tuple,
 )
 
-from .breaker import BreakerState, CircuitBreaker
+from .breaker import CircuitBreaker
 from .detector import FailSlowConfig, FailSlowDetector
 from .errors import ReadFailedError
 from .events import FaultEventLog
@@ -54,7 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ResilienceLayer", "SIGNAL_KINDS"]
 
-#: Resilience-signal kinds fanned out to :attr:`ResilienceLayer.signal_observer`.
+#: Resilience-signal kinds emitted on the ``faults.signal`` probe point as
+#: ``(kind, disk_id)`` — by the layer, and by its breakers for the three
+#: ``breaker-*`` kinds.
 SIGNAL_KINDS = (
     "error",
     "timeout",
@@ -65,12 +67,6 @@ SIGNAL_KINDS = (
     "fail-slow",
     "fail-slow-clear",
 )
-
-_BREAKER_SIGNAL = {
-    BreakerState.OPEN: "breaker-open",
-    BreakerState.HALF_OPEN: "breaker-half-open",
-    BreakerState.CLOSED: "breaker-close",
-}
 
 
 class ResilienceLayer:
@@ -112,23 +108,11 @@ class ResilienceLayer:
         }
         #: Online fail-slow detector fed from supervised completions.
         self.detector = FailSlowDetector(detector or FailSlowConfig())
-        #: Passive fan-out for resilience signals, ``(kind, disk_id)``
-        #: with ``kind`` from :data:`SIGNAL_KINDS`.  Consumers (the
-        #: adaptive policy) must stay pure — no events, no randomness.
-        self.signal_observer: Optional[Callable[[str, int], None]] = None
-        for breaker in self.breakers.values():
-            breaker.on_transition = self._on_breaker_transition
-
-    # -- signal fan-out ----------------------------------------------------
+        self._on_signal = env.probe("faults.signal")
 
     def _signal(self, kind: str, disk_id: int) -> None:
-        if self.signal_observer is not None:
-            self.signal_observer(kind, disk_id)
-
-    def _on_breaker_transition(
-        self, disk_id: int, old: BreakerState, new: BreakerState
-    ) -> None:
-        self._signal(_BREAKER_SIGNAL[new], disk_id)
+        for fn in self._on_signal:
+            fn(kind, disk_id)
 
     def _feed_detector(self, disk_id: int, service_time: float) -> None:
         transition = self.detector.observe(

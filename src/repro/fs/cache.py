@@ -41,7 +41,6 @@ from ..sim.resources import Resource
 from .buffer import DATA_PRESENT, Buffer, BufferPool, BufferState
 from .file import File
 from .replacement import GlobalLRUPolicy, ReplacementPolicy, RUSetPolicy
-from .trace import Trace, TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.layer import ResilienceLayer
@@ -69,9 +68,6 @@ class CacheConfig:
 
     #: Replacement policy: "ru-set" (paper) or "global-lru" (ablation).
     replacement: str = "ru-set"
-
-    #: Record a full access trace for offline analysis.
-    record_trace: bool = True
 
     def __post_init__(self) -> None:
         if self.demand_buffers_per_node <= 0:
@@ -168,20 +164,18 @@ class BlockCache:
         self.n_buffers = index
 
         self._freed = Event(env)
-        self.trace: Optional[Trace] = Trace() if config.record_trace else None
         #: Time demand requests spent waiting for an evictable buffer.
         self.alloc_waits = Tally("alloc_wait")
-        #: Optional callback ``(node_id, block)`` invoked on every demand
-        #: access — feeds on-the-fly predictor policies.
-        self.access_observer = None
-        #: Optional callback ``(fetched_by, block, reason)`` invoked when
-        #: a prefetched block leaves the cache before its first demand
-        #: hit — the waste signal the adaptive policy's feedback loop
-        #: shrinks on.  ``reason`` is "evicted" (replacement victim /
+        #: Probe ``fs.access`` ``(node_id, block)``: every demand access,
+        #: read or write — feeds on-the-fly predictor policies.
+        self._on_access = env.probe("fs.access")
+        #: Probe ``fs.unused_prefetch`` ``(fetched_by, block, reason)``:
+        #: a prefetched block left the cache before its first demand hit
+        #: — the waste signal the adaptive policy's feedback loop shrinks
+        #: on.  ``reason`` is "evicted" (replacement victim /
         #: invalidation) or "fetch_failed" (the disk died mid-fetch and
-        #: the prefetch is written off).  Must be passive (no events, no
-        #: randomness).
-        self.unused_prefetch_observer = None
+        #: the prefetch is written off).
+        self._on_unused_prefetch = env.probe("fs.unused_prefetch")
         #: Optional :class:`~repro.faults.layer.ResilienceLayer`.  When
         #: set (fault-injection runs), block fetches are routed through
         #: its retry/timeout machinery and prefetch issuance is gated by
@@ -204,11 +198,11 @@ class BlockCache:
         #: May hold stale entries for buffers no longer DIRTY — consumers
         #: skip them lazily via :meth:`_pop_flushable`.
         self._dirty_queue: Deque[Buffer] = deque()
-        #: Optional callback ``(node_id, dirty_count, background_limit)``
-        #: fired when a write newly dirties a buffer — the dirty-pressure
-        #: signal the adaptive prefetch policy's AIMD loop shrinks on.
-        #: Must be passive (no events, no randomness).
-        self.write_pressure_observer = None
+        #: Probe ``fs.write_pressure`` ``(node_id, dirty_count,
+        #: background_limit)``: a write newly dirtied a buffer — the
+        #: dirty-pressure signal the adaptive prefetch policy's AIMD loop
+        #: shrinks on.
+        self._on_write_pressure = env.probe("fs.write_pressure")
 
     # ------------------------------------------------------------------ util
 
@@ -267,10 +261,8 @@ class BlockCache:
                 self.metrics.record_prefetch_write_off()
             else:
                 self.metrics.record_unused_prefetch_eviction()
-            if self.unused_prefetch_observer is not None:
-                self.unused_prefetch_observer(
-                    buffer.fetched_by, buffer.block, reason
-                )
+            for fn in self._on_unused_prefetch:
+                fn(buffer.fetched_by, buffer.block, reason)
 
     def _evict(self, victim: Buffer) -> None:
         """Detach the victim's current block (caller holds the lock)."""
@@ -317,16 +309,15 @@ class BlockCache:
         self, buffer: Buffer, node_id: Optional[int] = None
     ) -> None:
         """A buffer just transitioned into DIRTY: count it, queue it for
-        flushing, and (when a writer caused it) fire the dirty-pressure
-        observer.  ``node_id`` is None for interrupt-context transitions
-        (re-dirty at flush completion, flush failure)."""
+        flushing, and (when a writer caused it) emit ``fs.write_pressure``.
+        ``node_id`` is None for interrupt-context transitions (re-dirty
+        at flush completion, flush failure)."""
         self.dirty_count += 1
         self._dirty_queue.append(buffer)
         self.metrics.record_dirty_level(self.dirty_count)
-        if node_id is not None and self.write_pressure_observer is not None:
-            self.write_pressure_observer(
-                node_id, self.dirty_count, self.dirty_background_limit
-            )
+        if node_id is not None:
+            for fn in self._on_write_pressure:
+                fn(node_id, self.dirty_count, self.dirty_background_limit)
 
     def _pop_flushable(self) -> Optional[Buffer]:
         """Pop the oldest buffer that is still DIRTY, discarding stale
@@ -425,8 +416,8 @@ class BlockCache:
         the same node could otherwise block its sibling's completion
         (which needs that CPU to unpin its buffer).
         """
-        if self.access_observer is not None:
-            self.access_observer(node_id, block)
+        for fn in self._on_access:
+            fn(node_id, block)
         wait_start = self.env.now
         lock_req = self.metadata_lock.request()
         yield lock_req
@@ -564,27 +555,6 @@ class BlockCache:
         buffer.unpin()
         self._signal_freed()
 
-    def record_access(
-        self,
-        node_id: int,
-        block: int,
-        outcome: str,
-        latency: float,
-        ref_index: int = -1,
-    ) -> None:
-        """Append to the offline-analysis trace."""
-        if self.trace is not None:
-            self.trace.append(
-                TraceRecord(
-                    time=self.env.now,
-                    node=node_id,
-                    block=block,
-                    outcome=outcome,
-                    latency=latency,
-                    ref_index=ref_index,
-                )
-            )
-
     # ----------------------------------------------------------- write path
 
     def write_begin(
@@ -603,8 +573,8 @@ class BlockCache:
         :meth:`complete_write`), "miss" (fresh DIRTY buffer, no event).
         The buffer is pinned across the caller's copy-in either way.
         """
-        if self.access_observer is not None:
-            self.access_observer(node_id, block)
+        for fn in self._on_access:
+            fn(node_id, block)
         wait_start = self.env.now
         lock_req = self.metadata_lock.request()
         yield lock_req

@@ -3,7 +3,8 @@
 ``read_block`` / ``write_block`` are what the synthetic applications
 call.  They glue together the node CPU protocol (hold while computing,
 release across waits), the memory system bracketing, the cache lookup,
-and metric/trace recording.
+metric recording, and the ``fs.read`` / ``fs.write`` / ``fs.throttle``
+probe points that trace and span recorders subscribe to.
 
 Timing anatomy of one read (all emergent from the cost model):
 
@@ -22,7 +23,7 @@ stall, charged here as throttle-stall time).
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from ..analysis.invariants import invariant
 from ..faults.errors import ReadFailedError, WriteFailedError
@@ -42,55 +43,14 @@ class FileServer:
         self.env = cache.env
         self.machine = cache.machine
         self.metrics = cache.metrics
-        #: Optional callback ``(node_id, block, outcome, latency,
-        #: ref_index)`` fired as each demand read completes; the trace
-        #: recorder (:mod:`repro.traces.recorder`) attaches here.  Must be
-        #: passive: no events, no randomness.
-        self.read_observer: Optional[
-            Callable[[int, int, str, float, int], None]
-        ] = None
-        #: Second, independent slot with the same signature and the same
-        #: passivity contract, reserved for the observability layer
-        #: (:mod:`repro.obs`) so span tracing composes with the trace
-        #: recorder instead of clobbering it.
-        self.obs_read_observer: Optional[
-            Callable[[int, int, str, float, int], None]
-        ] = None
-        #: Optional callback ``(node_id, block, outcome, latency,
-        #: ref_index)`` fired as each write completes — the write-side
-        #: sibling of ``read_observer`` (the trace recorder attaches
-        #: here).  Passive.
-        self.write_observer: Optional[
-            Callable[[int, int, str, float, int], None]
-        ] = None
-        #: Second write slot with the same signature, reserved for the
-        #: observability layer so span tracing composes with the trace
-        #: recorder instead of clobbering it.  Passive.
-        self.obs_write_observer: Optional[
-            Callable[[int, int, str, float, int], None]
-        ] = None
-        #: Optional callback ``(node_id, start, end, reason)`` fired when
-        #: a foreground writer finishes a synchronous-flush stall
-        #: (throttle or write-through) — the obs layer's "writeback" lane
-        #: draws these.  Passive.
-        self.throttle_observer: Optional[
-            Callable[[int, float, float, str], None]
-        ] = None
-
-    def _notify_read(
-        self,
-        node_id: int,
-        block: int,
-        outcome: str,
-        latency: float,
-        ref_index: int,
-    ) -> None:
-        if self.read_observer is not None:
-            self.read_observer(node_id, block, outcome, latency, ref_index)
-        if self.obs_read_observer is not None:
-            self.obs_read_observer(
-                node_id, block, outcome, latency, ref_index
-            )
+        #: Probes ``fs.read`` / ``fs.write`` ``(node_id, block, outcome,
+        #: latency, ref_index)``: a demand read or a write completed.
+        self._on_read = self.env.probe("fs.read")
+        self._on_write = self.env.probe("fs.write")
+        #: Probe ``fs.throttle`` ``(node_id, start, end, reason)``: a
+        #: foreground writer finished a synchronous-flush stall (throttle
+        #: or write-through) — the obs layer's "writeback" lane.
+        self._on_throttle = self.env.probe("fs.throttle")
 
     def read_block(
         self,
@@ -118,12 +78,8 @@ class FileServer:
             memory.exit()
             latency = env.now - start
             self.metrics.record_read(node.node_id, latency)
-            self.cache.record_access(
-                node.node_id, block, "ready", latency, ref_index
-            )
-            self._notify_read(
-                node.node_id, block, "ready", latency, ref_index
-            )
+            for fn in self._on_read:
+                fn(node.node_id, block, "ready", latency, ref_index)
             return cpu_req
 
         # Unready hit or miss: wait out the I/O as idle time.  We leave the
@@ -161,12 +117,8 @@ class FileServer:
 
         latency = env.now - start
         self.metrics.record_read(node.node_id, latency)
-        self.cache.record_access(
-            node.node_id, block, outcome.kind, latency, ref_index
-        )
-        self._notify_read(
-            node.node_id, block, outcome.kind, latency, ref_index
-        )
+        for fn in self._on_read:
+            fn(node.node_id, block, outcome.kind, latency, ref_index)
         return cpu_req
 
     def write_block(
@@ -254,22 +206,11 @@ class FileServer:
                     self.metrics.record_throttle_stall(
                         env.now - stall_start
                     )
-                if self.throttle_observer is not None:
-                    self.throttle_observer(
-                        node.node_id, stall_start, env.now, stall_reason
-                    )
+                for fn in self._on_throttle:
+                    fn(node.node_id, stall_start, env.now, stall_reason)
 
         latency = env.now - start
         self.metrics.record_write(node.node_id, latency)
-        self.cache.record_access(
-            node.node_id, block, f"write-{outcome.kind}", latency, ref_index
-        )
-        if self.write_observer is not None:
-            self.write_observer(
-                node.node_id, block, outcome.kind, latency, ref_index
-            )
-        if self.obs_write_observer is not None:
-            self.obs_write_observer(
-                node.node_id, block, outcome.kind, latency, ref_index
-            )
+        for fn in self._on_write:
+            fn(node.node_id, block, outcome.kind, latency, ref_index)
         return cpu_req

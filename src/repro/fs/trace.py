@@ -2,9 +2,11 @@
 
 "The exact access pattern is recorded for off-line analysis of prefetching
 strategies" (Section IV-C).  Every block access produces a
-:class:`TraceRecord`; the :class:`Trace` container supports saving/loading
-as JSON lines and feeds :mod:`repro.experiments.analysis` (what-if hit
-ratios, optimal-replacement bounds, global-sequentiality measurement).
+:class:`TraceRecord` (:meth:`Trace.tap` subscribes a trace to a run's
+``fs.read`` / ``fs.write`` probe points); the :class:`Trace` container
+supports saving/loading as JSON lines and feeds
+:mod:`repro.experiments.analysis` (what-if hit ratios, optimal-replacement
+bounds, global-sequentiality measurement).
 
 Saved files are version-stamped: the first line is a JSON header
 ``{"format": "rapid-transit-trace", "kind": "access", "version": 1}``.
@@ -18,7 +20,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, List, Optional, Union
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.core import Environment
 
 __all__ = [
     "TRACE_FORMAT_NAME",
@@ -26,6 +31,7 @@ __all__ = [
     "TraceFormatError",
     "TraceRecord",
     "parse_header",
+    "parse_record",
 ]
 
 #: Envelope name shared by every trace file this project writes.
@@ -68,6 +74,54 @@ def parse_header(line: str, *, kind: str, max_version: int) -> Optional[int]:
     return version
 
 
+#: JSON value types accepted for each record-field annotation.  A JSON
+#: ``true`` is never a number, though Python's ``bool`` is an ``int``.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def parse_record(
+    cls: Any, line: str, *, kind: str, required: Iterable[str]
+) -> Any:
+    """Parse one JSON-lines record into the frozen dataclass ``cls``,
+    whose fields are annotated ``int``, ``float`` or ``str``.
+
+    Raises :class:`TraceFormatError` naming the problem: invalid JSON, a
+    non-object, an unknown or missing field, or a field whose JSON type
+    does not match its annotation.  ``kind`` ("trace" / "replay") names
+    the record in those messages.
+    """
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"invalid JSON in {kind} record: {exc}")
+    if not isinstance(data, dict):
+        raise TraceFormatError(
+            f"{kind} record must be a JSON object, got {type(data).__name__}"
+        )
+    annotations = {f.name: str(f.type) for f in fields(cls)}
+    unknown = sorted(set(data) - set(annotations))
+    if unknown:
+        raise TraceFormatError(
+            f"unknown {kind} record field(s) {unknown}; "
+            f"known fields: {sorted(annotations)}"
+        )
+    missing = sorted(set(required) - set(data))
+    if missing:
+        raise TraceFormatError(
+            f"{kind} record missing required field(s) {missing}"
+        )
+    for name, value in data.items():
+        expected = annotations[name]
+        if isinstance(value, bool) or not isinstance(
+            value, _JSON_TYPES[expected]
+        ):
+            raise TraceFormatError(
+                f"{kind} record field {name!r} must be {expected}, "
+                f"got {value!r}"
+            )
+    return cls(**data)
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """One block access as seen by the cache."""
@@ -88,29 +142,18 @@ class TraceRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "TraceRecord":
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"invalid JSON in trace record: {exc}")
-        if not isinstance(data, dict):
-            raise TraceFormatError(
-                f"trace record must be a JSON object, got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise TraceFormatError(
-                f"unknown trace record field(s) {unknown}; "
-                f"known fields: {sorted(known)}"
-            )
-        missing = sorted(
-            {"time", "node", "block", "outcome", "latency"} - set(data)
+        record = parse_record(
+            cls,
+            line,
+            kind="trace",
+            required=("time", "node", "block", "outcome", "latency"),
         )
-        if missing:
+        if record.outcome not in Trace.VALID_OUTCOMES:
             raise TraceFormatError(
-                f"trace record missing required field(s) {missing}"
+                f"trace record outcome {record.outcome!r} is not one of "
+                f"{sorted(Trace.VALID_OUTCOMES)}"
             )
-        return cls(**data)
+        return record
 
 
 class Trace:
@@ -129,11 +172,33 @@ class Trace:
 
     def __init__(self, records: Optional[Iterable[TraceRecord]] = None) -> None:
         self.records: List[TraceRecord] = list(records or [])
+        #: The run being recorded (set by :meth:`tap`).
+        self._env: Optional["Environment"] = None
 
     def append(self, record: TraceRecord) -> None:
         if record.outcome not in self.VALID_OUTCOMES:
             raise ValueError(f"invalid outcome {record.outcome!r}")
         self.records.append(record)
+
+    # -- recording ---------------------------------------------------------------
+
+    def tap(self, env: "Environment") -> None:
+        """Append every demand read and write of ``env``'s run as it
+        completes (the ``fs.read`` / ``fs.write`` probe points)."""
+        self._env = env
+        env.subscribe("fs.read", self._on_read)
+        env.subscribe("fs.write", self._on_write)
+
+    def _on_read(
+        self, node: int, block: int, outcome: str, latency: float, ref: int
+    ) -> None:
+        now = self._env.now if self._env is not None else -1.0
+        self.append(TraceRecord(now, node, block, outcome, latency, ref))
+
+    def _on_write(
+        self, node: int, block: int, outcome: str, latency: float, ref: int
+    ) -> None:
+        self._on_read(node, block, f"write-{outcome}", latency, ref)
 
     def __len__(self) -> int:
         return len(self.records)

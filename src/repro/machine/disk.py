@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..analysis.invariants import InvariantViolation, invariant
 from ..sim.events import Event
@@ -218,13 +218,10 @@ class Disk:
         self.busy = TimeWeighted(env, 0.0)
         self.blocks_served = 0
         self.errors = 0
-        #: Optional callback ``(disk_id, request)`` fired as each transfer
-        #: completes, after the completion fields are filled in and before
-        #: the waiter is woken.  Must be passive: no events, no randomness
-        #: (the observability layer attaches here).
-        self.request_observer: Optional[
-            Callable[[int, DiskRequest], None]
-        ] = None
+        #: Probe ``disk.request`` ``(disk_id, request)``: a transfer
+        #: completed — emitted after the completion fields are filled in
+        #: and before the waiter is woken.
+        self._on_request = env.probe("disk.request")
         self.model.attach(self)
         self._server = env.process(self._serve(), name=f"disk-{disk_id}")
 
@@ -333,6 +330,6 @@ class Disk:
                 self.prefetch_response.record(rt)
             else:
                 self.write_response.record(rt)
-            if self.request_observer is not None:
-                self.request_observer(self.disk_id, request)
+            for fn in self._on_request:
+                fn(self.disk_id, request)
             request.done.succeed(request)

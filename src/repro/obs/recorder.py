@@ -1,17 +1,19 @@
 """Wiring the span tracer and metric timelines into a live run.
 
 :class:`ObsRecorder` is a
-:class:`~repro.experiments.runner.RunInstrumentation` that attaches
-*passive* observers to the stack as it is built:
+:class:`~repro.experiments.runner.RunInstrumentation` that subscribes
+*passive* callbacks to six probe points of the run's environment:
 
-* the per-disk ``request_observer`` (queue-wait and service spans —
-  write requests appear with their own kind, for free),
-* the per-daemon ``action_observer`` (daemon CPU slices), and its
-  writeback-flusher sibling (the ``("writeback", node)`` lane),
-* the file server's ``obs_read_observer`` (demand-read spans),
-  ``obs_write_observer`` (write spans), and ``throttle_observer``
-  (foreground dirty-throttle / write-through stalls, also on the
-  writeback lane),
+* ``disk.request`` (queue-wait and service spans — write requests
+  appear with their own kind, for free),
+* ``prefetch.action`` (daemon CPU slices) and ``writeback.action``
+  (the flusher's ``("writeback", node)`` lane),
+* ``fs.read`` (demand-read spans), ``fs.write`` (write spans), and
+  ``fs.throttle`` (foreground dirty-throttle / write-through stalls,
+  also on the writeback lane),
+
+plus
+
 * a :class:`~repro.obs.timeline.TimelineSampler` step observer that
   snapshots cache occupancy, prefetched-unused count, per-disk queue
   depth, and per-node CPU busy state on sim-time boundaries, and
@@ -21,15 +23,12 @@
   markers, so degraded periods render alongside the demand stalls they
   cause.
 
-Every hook is a plain callback slot that defaults to ``None`` — the
-simulator pays one ``is not None`` test per completion when tracing is
-off, and *no* callback ever creates an event, draws randomness, or
-mutates simulation state.  That is the invariant that keeps an
-obs-enabled run's event-trace hash bit-identical to a bare run's (see
-``tests/obs/test_determinism.py``).
-
-Zero-overhead-when-disabled is therefore literal: nothing in this module
-is imported by the simulation hot path.
+With tracing off those probe points have no subscribers, and *no*
+callback here ever creates an event, draws randomness, or mutates
+simulation state.  That is the invariant that keeps an obs-enabled run's
+event-trace hash bit-identical to a bare run's (see
+``tests/obs/test_determinism.py``).  Nothing in this module is imported
+by the simulation hot path.
 """
 
 from __future__ import annotations
@@ -46,12 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import RunResult
     from ..faults.layer import ResilienceLayer
     from ..fs.cache import BlockCache
-    from ..fs.fileserver import FileServer
     from ..machine.disk import Disk, DiskRequest
     from ..machine.machine import Machine
     from ..machine.node import Node
     from ..sim.core import Environment
-    from ..sim.process import Process
 
 __all__ = ["ObsConfig", "ObsData", "ObsRecorder", "run_with_obs"]
 
@@ -122,8 +119,6 @@ class ObsRecorder:
         self._machine: Optional["Machine"] = None
         self._cache: Optional["BlockCache"] = None
         self._sampler: Optional[TimelineSampler] = None
-        self._daemon_nodes: List[int] = []
-        self._flusher_nodes: List[int] = []
         self._reads = self.timelines.counter("reads.completed")
         self._actions = self.timelines.counter("prefetch.actions")
         self._read_latency = self.timelines.histogram("read.latency")
@@ -152,7 +147,6 @@ class ObsRecorder:
             "cache.dirty", lambda: float(cache.dirty_count)
         )
         for disk in machine.disks:
-            disk.request_observer = self._on_disk_request
             self.timelines.register_gauge(
                 f"disk{disk.disk_id}.queue", _disk_queue_gauge(disk)
             )
@@ -160,26 +154,16 @@ class ObsRecorder:
             self.timelines.register_gauge(
                 f"node{node.node_id}.cpu", _node_cpu_gauge(node)
             )
-            if node.daemon is not None:
-                node.daemon.action_observer = self._on_daemon_action
-                self._daemon_nodes.append(node.node_id)
-            if node.flusher is not None:
-                node.flusher.action_observer = self._on_flusher_action
-                self._flusher_nodes.append(node.node_id)
+        env.subscribe("disk.request", self._on_disk_request)
+        env.subscribe("prefetch.action", self._on_daemon_action)
+        env.subscribe("writeback.action", self._on_flusher_action)
+        env.subscribe("fs.read", self._on_read)
+        env.subscribe("fs.write", self._on_write)
+        env.subscribe("fs.throttle", self._on_throttle)
         self._sampler = TimelineSampler(
             self.timelines, self.config.sample_interval
         )
         env.add_step_observer(self._sampler)
-
-    def on_apps(
-        self,
-        env: "Environment",
-        server: "FileServer",
-        apps: List["Process"],
-    ) -> None:
-        server.obs_read_observer = self._on_read
-        server.obs_write_observer = self._on_write
-        server.throttle_observer = self._on_throttle
 
     # -- passive observers ----------------------------------------------------
 
@@ -343,10 +327,14 @@ class ObsRecorder:
             total_time=result.total_time,
             n_nodes=len(machine.nodes),
             n_disks=len(machine.disks),
-            daemon_nodes=list(self._daemon_nodes),
+            daemon_nodes=[
+                n.node_id for n in machine.nodes if n.daemon is not None
+            ],
             spans=self.spans,
             timelines=self.timelines,
-            flusher_nodes=list(self._flusher_nodes),
+            flusher_nodes=[
+                n.node_id for n in machine.nodes if n.flusher is not None
+            ],
             fault_disks=fault_disks,
             attribution=list(result.node_attribution),
             digest=result.obs_digest

@@ -21,7 +21,7 @@ Feedback wiring — every signal is read from accounting the simulator
 already keeps, none is invented:
 
 * *demand stall*: :meth:`observe` fires on every demand access (the
-  cache's ``access_observer`` hook); an absent block means the consumer
+  cache's ``fs.access`` probe point); an absent block means the consumer
   is about to stall → grow.
 * *prefetch hit*: the demanded block was one this policy prefetched →
   grow (the prediction was consumed).
@@ -29,13 +29,13 @@ already keeps, none is invented:
   :class:`~repro.machine.node.IdlePeriod` records — the exact substrate
   the obs bottleneck attribution reads — and shrinks on overrun beyond
   the tolerance.
-* *unused eviction*: the cache's ``unused_prefetch_observer`` hook fires
-  when a prefetched block is evicted or invalidated before first use →
-  shrink, and un-claim the block so it may be re-prefetched.
+* *unused eviction*: the cache's ``fs.unused_prefetch`` probe point
+  fires when a prefetched block is evicted or invalidated before first
+  use → shrink, and un-claim the block so it may be re-prefetched.
 * *budget pressure*: the cache calls :meth:`abort` when an action fails
   on ``budget_full``/``no_buffer`` → shrink.
 * *dirty pressure* (read-write runs only): the cache's
-  ``write_pressure_observer`` fires as writes dirty buffers; when the
+  ``fs.write_pressure`` probe point fires as writes dirty buffers; when the
   dirty population crosses the background-flush threshold the global
   scope shrinks once per excursion (``dirty_pressure``) — prefetched
   blocks and dirty blocks compete for the same buffers, and the flusher
@@ -44,7 +44,7 @@ already keeps, none is invented:
 
 Fault awareness (on by default, strictly inert on healthy runs): when
 the run carries a :class:`~repro.faults.layer.ResilienceLayer`, the
-policy subscribes to its resilience signals and
+policy subscribes to its ``faults.signal`` probe point and
 
 * *shrinks* the global scope on breaker trips, fail-slow detections, and
   retries (``breaker_open`` / ``fail_slow`` / ``fault_retry``); retry
@@ -207,11 +207,12 @@ class AdaptivePolicy(_ClaimingPolicy):
 
     def bind(self, cache: "BlockCache") -> None:
         super().bind(cache)
-        cache.unused_prefetch_observer = self._on_unused_prefetch
-        cache.write_pressure_observer = self._on_write_pressure
+        env = cache.env
+        env.subscribe("fs.unused_prefetch", self._on_unused_prefetch)
+        env.subscribe("fs.write_pressure", self._on_write_pressure)
         if self.config.fault_aware and cache.resilience is not None:
             self._resilience = cache.resilience
-            cache.resilience.signal_observer = self._on_resilience_signal
+            env.subscribe("faults.signal", self._on_resilience_signal)
         self._trajectory.append((self._now(), self._mean_distance()))
 
     def _now(self) -> float:
@@ -236,7 +237,7 @@ class AdaptivePolicy(_ClaimingPolicy):
     # -- feedback inputs ---------------------------------------------------------
 
     def observe(self, node_id: int, block: int) -> None:
-        """One demand access (the cache's ``access_observer`` hook)."""
+        """One demand access (the cache's ``fs.access`` probe point)."""
         ctrl = self._controllers[node_id]
 
         # Consumer demand-stall: the block is absent, so the consumer is
@@ -276,7 +277,7 @@ class AdaptivePolicy(_ClaimingPolicy):
         self, node_id: Optional[int], block: int, reason: str = "evicted"
     ) -> None:
         """A prefetched block left the cache before first use (the
-        cache's ``unused_prefetch_observer`` hook).
+        cache's ``fs.unused_prefetch`` probe point).
 
         ``reason == "fetch_failed"`` is a fault write-off — the disk
         died mid-fetch and the block never arrived.  The degree slot is
@@ -302,8 +303,8 @@ class AdaptivePolicy(_ClaimingPolicy):
     def _on_write_pressure(
         self, node_id: int, dirty_count: int, background_limit: int
     ) -> None:
-        """Dirty-pressure AIMD input (the cache's
-        ``write_pressure_observer`` hook, read-write runs only).  Dirty
+        """Dirty-pressure AIMD input (the cache's ``fs.write_pressure``
+        probe point, read-write runs only).  Dirty
         buffers are unevictable until flushed, so a dirty population past
         the background threshold squeezes the very buffers prefetching
         fills — and the flusher daemon is about to start competing for
@@ -319,7 +320,7 @@ class AdaptivePolicy(_ClaimingPolicy):
             self._dirty_over = False
 
     def _on_resilience_signal(self, kind: str, disk_id: int) -> None:
-        """Resilience-layer fan-out (fault-aware runs only): breaker
+        """The ``faults.signal`` probe point (fault-aware runs only): breaker
         trips, fail-slow detections, and retries shrink the global scope
         — blocks stripe across every disk, so a sick disk is pressure on
         the shared stream, not on any one node's.  Retry shrinks are

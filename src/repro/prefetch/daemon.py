@@ -23,7 +23,7 @@ ratio for no net gain — the reproduction shows the same.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING
 
 from ..machine.node import Node
 from ..sim.monitor import Tally
@@ -75,12 +75,9 @@ class PrefetchDaemon:
         self.metrics = metrics
         self.config = config
         self._stopped = False
-        #: Optional callback ``(node_id, start, end, outcome)`` fired as
-        #: each prefetch action completes.  Must be passive: no events,
-        #: no randomness (the observability layer attaches here).
-        self.action_observer: Optional[
-            Callable[[int, float, float, str], None]
-        ] = None
+        #: Probe ``prefetch.action`` ``(node_id, start, end, outcome)``: one
+        #: prefetch action completed.
+        self._on_action = self.env.probe("prefetch.action")
         #: Outcome counts for this daemon only.
         self.outcomes: dict = {}
         self.action_times = Tally(f"daemon{node.node_id}.actions")
@@ -98,10 +95,8 @@ class PrefetchDaemon:
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         self.action_times.record(duration)
         self.metrics.record_prefetch_action(duration, outcome)
-        if self.action_observer is not None:
-            self.action_observer(
-                self.node.node_id, start, self.env.now, outcome
-            )
+        for fn in self._on_action:
+            fn(self.node.node_id, start, self.env.now, outcome)
 
     def _run(self):
         env = self.env

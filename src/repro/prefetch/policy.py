@@ -16,9 +16,10 @@ action (no buffer, budget full) does not lose the candidate:
 daemon stops for the rest of the run (the paper's oracle does not attempt
 prefetching when it knows nothing useful remains).
 
-:meth:`PrefetchPolicy.observe` feeds demand accesses to on-the-fly
-predictor policies; oracle policies ignore it (they watch the shared
-progress tracker instead).
+:meth:`PrefetchPolicy.observe` feeds demand accesses (the cache's
+``fs.access`` probe point, subscribed by :meth:`PrefetchPolicy.bind`) to
+on-the-fly predictor policies; oracle policies ignore it (they watch the
+shared progress tracker instead).
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ class PrefetchPolicy:
         self.cache: Optional["BlockCache"] = None
 
     def bind(self, cache: "BlockCache") -> None:
-        """Attach to the cache (for membership peeks).  Called once."""
+        """Attach to the cache (for membership peeks) and subscribe
+        :meth:`observe` to its ``fs.access`` probe point.  Called once."""
         self.cache = cache
+        cache.env.subscribe("fs.access", self.observe)
 
     def _in_cache(self, block: int) -> bool:
         return self.cache is not None and self.cache.contains(block)

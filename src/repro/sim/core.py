@@ -1,10 +1,14 @@
-"""The simulation environment: clock, event queue, and run loop.
+"""The simulation environment: clock, event queue, run loop, and probes.
 
 Events are served from a binary heap in ascending ``(time, priority,
 sequence)`` order.  The sequence number makes the order of simultaneous
 events fully deterministic: ties are broken by scheduling order, so a given
 seed always produces the identical execution — a property the experiment
 harness relies on for reproducibility.
+
+Passive taps on a run go through one registry of named probe points
+(:meth:`Environment.subscribe` / :meth:`Environment.probe`); the points
+the model emits are listed in ``docs/obs.md``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from functools import partial
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..analysis.invariants import InvariantViolation
 from .events import NORMAL, PENDING, AllOf, AnyOf, Event, Timeout
@@ -67,6 +71,7 @@ class Environment:
         "_eid",
         "_active_proc",
         "_step_observers",
+        "_probes",
         "_push",
         "_pop",
     )
@@ -81,6 +86,7 @@ class Environment:
         self._eid = 0
         self._active_proc: Optional[Process] = None
         self._step_observers: List[StepObserver] = []
+        self._probes: Dict[str, List[Callable[..., None]]] = {}
 
     # -- introspection --------------------------------------------------------
 
@@ -137,6 +143,30 @@ class Environment:
         the event itself — and must not mutate simulation state.
         """
         self._step_observers.append(observer)
+
+    def probe(self, point: str) -> List[Callable[..., None]]:
+        """The live subscriber list of the probe point named ``point``.
+
+        An emitter fetches the list once, when it is built, and runs
+        ``for fn in subs: fn(...)`` at each emission.  The list is
+        created on first use, so subscribers may arrive before or after
+        their emitter exists.
+        """
+        return self._probes.setdefault(point, [])
+
+    def subscribe(self, point: str, fn: Callable[..., None]) -> None:
+        """Call ``fn`` at every emission of probe point ``point``, after
+        the subscribers already there.  Like step observers, subscribers
+        must be passive: no events, no randomness, no mutation of
+        simulation state."""
+        self.probe(point).append(fn)
+
+    def unsubscribe_all(self) -> None:
+        """Drop every probe subscription.  Called once a run is over, so
+        a result that keeps this environment alive does not also keep
+        every subscriber (and the model graph they reach) alive."""
+        for subs in self._probes.values():
+            subs.clear()
 
     # -- scheduling -----------------------------------------------------------
 

@@ -38,7 +38,12 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
-from ..fs.trace import TRACE_FORMAT_NAME, TraceFormatError, parse_header
+from ..fs.trace import (
+    TRACE_FORMAT_NAME,
+    TraceFormatError,
+    parse_header,
+    parse_record,
+)
 from ..workload.patterns import AccessPattern
 
 __all__ = [
@@ -152,28 +157,9 @@ class ReplayRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ReplayRecord":
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"invalid JSON in replay record: {exc}")
-        if not isinstance(data, dict):
-            raise TraceFormatError(
-                f"replay record must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise TraceFormatError(
-                f"unknown replay record field(s) {unknown}; "
-                f"known fields: {sorted(known)}"
-            )
-        missing = sorted({"node", "block"} - set(data))
-        if missing:
-            raise TraceFormatError(
-                f"replay record missing required field(s) {missing}"
-            )
-        return cls(**data)
+        return parse_record(
+            cls, line, kind="replay", required=("node", "block")
+        )
 
 
 class ReplayTrace:

@@ -1,15 +1,15 @@
 """Record a replayable trace from a live simulation run.
 
-The recorder taps two existing seams, both passive (no events, no
-randomness — a recorded run's event schedule is bit-for-bit identical to
-an unrecorded one):
+:class:`TraceRecorder` is a run instrumentation that subscribes to five
+probe points, all passive (no events, no randomness — a recorded run's
+event schedule is bit-for-bit identical to an unrecorded one):
 
-* :attr:`repro.fs.fileserver.FileServer.read_observer` (and its write
-  sibling ``write_observer``) — fire as each demand access completes,
-  giving the observed outcome/latency/time;
-* the :class:`~repro.workload.application.TimelineObserver` hooks inside
-  the application loop — giving the claimed reference, the compute gap
-  actually drawn, and the number of barrier visits that followed.
+* ``fs.read`` / ``fs.write`` (the file server) — fire as each demand
+  access completes, giving the observed outcome/latency/time;
+* ``app.claim``, ``app.compute`` and ``app.sync_joins`` (the application
+  loop in :mod:`repro.workload.application`) — giving the claimed
+  reference, the compute gap actually drawn, and the number of barrier
+  visits that followed.
 
 Per node the two interleave strictly (one outstanding access per node:
 completion, then claim bookkeeping, then compute, then joins), so merging
@@ -26,18 +26,18 @@ import dataclasses
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..experiments.runner import (
-    RunInstrumentation,
     RunResult,
     materialize_pattern,
     run_materialized,
 )
 from ..fs.trace import TraceFormatError
 from ..sim.rng import RandomStreams
-from ..workload.application import application
 from .format import ReplayRecord, ReplayTrace, TraceMeta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.config import ExperimentConfig
+    from ..fs.cache import BlockCache
+    from ..machine.machine import Machine
     from ..sim.core import Environment
     from ..workload.patterns import AccessPattern
 
@@ -47,7 +47,7 @@ __all__ = ["TraceRecorder", "record_run"]
 class TraceRecorder:
     """Accumulates replay records while a run executes.
 
-    One recorder records one run; pass :meth:`app_factory` to
+    One recorder records one run: pass it as the ``instrument`` of
     :func:`~repro.experiments.runner.run_materialized` and call
     :meth:`finish` after the run completes.
     """
@@ -60,12 +60,27 @@ class TraceRecorder:
         self._completed: Dict[int, Tuple[int, str, float, float]] = {}
         #: Per-node index of the record awaiting compute/sync annotation.
         self._open: Dict[int, int] = {}
-        #: Simulation environment, captured when the first app is wired.
+        #: Simulation environment, captured by :meth:`on_environment`.
         self._env: Optional["Environment"] = None
 
-    # -- FileServer.read_observer / write_observer -------------------------------
+    # -- RunInstrumentation hooks ------------------------------------------------
 
-    def on_read_complete(
+    def on_environment(self, env: "Environment") -> None:
+        self._env = env
+        env.subscribe("fs.read", self._on_complete)
+        env.subscribe("fs.write", self._on_complete)
+        env.subscribe("app.claim", self._on_claim)
+        env.subscribe("app.compute", self._on_compute)
+        env.subscribe("app.sync_joins", self._on_sync_joins)
+
+    def on_wired(
+        self, env: "Environment", machine: "Machine", cache: "BlockCache"
+    ) -> None:
+        """Nothing to wire: every tap is a probe subscription."""
+
+    # -- fs.read / fs.write ------------------------------------------------------
+
+    def _on_complete(
         self,
         node_id: int,
         block: int,
@@ -73,28 +88,21 @@ class TraceRecorder:
         latency: float,
         ref_index: int,
     ) -> None:
+        # Reads and writes carry the identical tuple; per-node strict
+        # interleaving means one pending slot serves both.
         now = self._env.now if self._env is not None else -1.0
         self._completed[node_id] = (block, outcome, latency, now)
 
-    # The write observer carries the identical tuple; per-node strict
-    # interleaving means one pending slot serves both.
-    on_write_complete = on_read_complete
+    # -- app.claim / app.compute / app.sync_joins ---------------------------------
 
-    # -- TimelineObserver --------------------------------------------------------
-
-    def _claim(
-        self,
-        node_id: int,
-        ref_index: int,
-        block: int,
-        portion: int,
-        op: str,
+    def _on_claim(
+        self, node_id: int, ref_index: int, block: int, portion: int, op: str
     ) -> None:
         pending = self._completed.pop(node_id, None)
         if pending is None:
             raise TraceFormatError(
                 f"recorder saw a claim for node {node_id} with no completed "
-                "access (is the FileServer observer attached?)"
+                "access (is the recorder subscribed to fs.read/fs.write?)"
             )
         seen_block, outcome, latency, time = pending
         if seen_block != block:
@@ -118,16 +126,6 @@ class TraceRecorder:
             )
         )
 
-    def on_read(
-        self, node_id: int, ref_index: int, block: int, portion: int
-    ) -> None:
-        self._claim(node_id, ref_index, block, portion, "r")
-
-    def on_write(
-        self, node_id: int, ref_index: int, block: int, portion: int
-    ) -> None:
-        self._claim(node_id, ref_index, block, portion, "w")
-
     def _amend(self, node_id: int, **changes: object) -> None:
         idx = self._open.get(node_id)
         if idx is None:
@@ -137,32 +135,11 @@ class TraceRecorder:
         rec = self._records[idx]
         self._records[idx] = dataclasses.replace(rec, **changes)  # type: ignore[arg-type]
 
-    def on_compute(self, node_id: int, delay: float) -> None:
+    def _on_compute(self, node_id: int, delay: float) -> None:
         self._amend(node_id, compute=delay)
 
-    def on_sync_joins(self, node_id: int, count: int) -> None:
+    def _on_sync_joins(self, node_id: int, count: int) -> None:
         self._amend(node_id, sync_joins=count)
-
-    # -- wiring ------------------------------------------------------------------
-
-    def app_factory(
-        self, node, server, tracker, sync, pattern, rng, config
-    ):
-        """Drop-in ``app_factory`` for ``run_materialized``: attaches the
-        file-server observer and wraps the standard application."""
-        self._env = node.env
-        server.read_observer = self.on_read_complete
-        server.write_observer = self.on_write_complete
-        return application(
-            node,
-            server,
-            tracker,
-            sync,
-            pattern,
-            rng,
-            config.compute_mean,
-            observer=self,
-        )
 
     def finish(self) -> ReplayTrace:
         """Seal and validate the recorded trace."""
@@ -176,10 +153,7 @@ class TraceRecorder:
         return trace
 
 
-def record_run(
-    config: "ExperimentConfig",
-    instrument: Optional[RunInstrumentation] = None,
-) -> Tuple[RunResult, ReplayTrace]:
+def record_run(config: "ExperimentConfig") -> Tuple[RunResult, ReplayTrace]:
     """Run ``config`` while recording a replayable trace.
 
     Returns ``(result, trace)``.  The run itself is unperturbed: the same
@@ -205,11 +179,5 @@ def record_run(
         extra=extra,
     )
     recorder = TraceRecorder(meta)
-    result = run_materialized(
-        pattern,
-        config,
-        rng,
-        instrument=instrument,
-        app_factory=recorder.app_factory,
-    )
+    result = run_materialized(pattern, config, rng, instrument=recorder)
     return result, recorder.finish()

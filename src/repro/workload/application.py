@@ -5,11 +5,16 @@ block, simulate computation on it (exponentially distributed delay), and
 synchronize per the configured style.  The process holds its node's CPU
 while computing and releases it across every wait, which is what gives the
 prefetch daemon its idle windows.
+
+Each access emits ``app.claim`` ``(node_id, ref_index, block, portion,
+op)`` with ``op`` "r" or "w", then ``app.compute`` ``(node_id, delay)``
+and ``app.sync_joins`` ``(node_id, count)``: the probe points the
+replay-trace recorder (:mod:`repro.traces.recorder`) subscribes to.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING
 
 from ..machine.node import IdleKind, Node
 from ..sim.rng import RandomStreams
@@ -20,33 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .progress import ProgressTracker
     from .synchronization import SyncCoordinator
 
-__all__ = ["TimelineObserver", "application"]
-
-
-class TimelineObserver(Protocol):
-    """Passive per-read callbacks for trace recording.
-
-    Implementations must not create events or draw randomness: the
-    observer sees the run, it never steers it (the recorded and
-    unrecorded executions of one seed are bit-for-bit identical).
-    """
-
-    def on_read(
-        self, node_id: int, ref_index: int, block: int, portion: int
-    ) -> None:
-        """A demand read of ``block`` just completed."""
-
-    def on_write(
-        self, node_id: int, ref_index: int, block: int, portion: int
-    ) -> None:
-        """A write of ``block`` just completed (read-write patterns only;
-        never fired by the six read-only paper patterns)."""
-
-    def on_compute(self, node_id: int, delay: float) -> None:
-        """The compute gap drawn for the access just observed."""
-
-    def on_sync_joins(self, node_id: int, count: int) -> None:
-        """How many barrier visits followed that access's compute gap."""
+__all__ = ["application"]
 
 
 def application(
@@ -57,7 +36,6 @@ def application(
     pattern: "AccessPattern",
     rng: RandomStreams,
     compute_mean: float,
-    observer: Optional[TimelineObserver] = None,
 ):
     """Generator for one node's user process.
 
@@ -66,12 +44,12 @@ def application(
     block → compute Exp(``compute_mean``) ms → settle any owed
     synchronization visits.  Departs the barrier and exits when the
     relevant string is exhausted.
-
-    ``observer`` (see :class:`TimelineObserver`) feeds the trace recorder
-    in :mod:`repro.traces.recorder`.
     """
     env = node.env
     node_id = node.node_id
+    on_claim = env.probe("app.claim")
+    on_compute = env.probe("app.compute")
+    on_sync_joins = env.probe("app.sync_joins")
     portions = pattern.portions_for(node_id)
     ops = pattern.ops_for(node_id)
     n_refs = len(pattern.string_for(node_id))
@@ -90,16 +68,13 @@ def application(
             cpu = yield from server.read_block(node, cpu, block, idx)
         tracker.mark_consumed(node_id, idx)
         portion_id = int(portions[idx])
-        if observer is not None:
-            if is_write:
-                observer.on_write(node_id, idx, block, portion_id)
-            else:
-                observer.on_read(node_id, idx, block, portion_id)
+        for fn in on_claim:
+            fn(node_id, idx, block, portion_id, "w" if is_write else "r")
 
         # Simulated per-block computation, holding the CPU.
         delay = rng.exponential(f"compute/node{node_id}", compute_mean)
-        if observer is not None:
-            observer.on_compute(node_id, delay)
+        for fn in on_compute:
+            fn(node_id, delay)
         if delay > 0.0:
             yield env.timeout(delay)
 
@@ -114,8 +89,8 @@ def application(
             event = sync.join(node_id)
             joins += 1
             _, cpu = yield from node.idle_wait(cpu, event, IdleKind.SYNC)
-        if observer is not None:
-            observer.on_sync_joins(node_id, joins)
+        for fn in on_sync_joins:
+            fn(node_id, joins)
 
     sync.depart(node_id)
     node.release_cpu(cpu)

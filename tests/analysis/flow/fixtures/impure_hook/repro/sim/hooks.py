@@ -4,8 +4,8 @@ pass must prove ``bad_hook`` impure and flag the registration site."""
 
 
 class Env:
-    def __init__(self):
-        self.read_observer = None
+    def subscribe(self, point, fn):
+        pass
 
     def schedule(self, ev):
         pass
@@ -16,4 +16,4 @@ def bad_hook(env, ev):
 
 
 def install(env):
-    env.read_observer = bad_hook
+    env.subscribe("fs.read", bad_hook)

@@ -7,7 +7,8 @@ These are the three holes the flow analyzer exists to close:
   two-hop helper chain from ``sim/``;
 * ``rng_skipfile`` — a ``random.Random`` built in a ``skip-file``'d
   utility module and handed into ``fs/``;
-* ``impure_hook`` — a read-observer that calls ``Environment.schedule``.
+* ``impure_hook`` — an ``fs.read`` subscriber that calls
+  ``Environment.schedule``.
 """
 
 from pathlib import Path

@@ -30,7 +30,7 @@ def test_pure_hook_passes():
             "class Rec:\n"
             "    def __init__(self, env):\n"
             "        self.n = 0\n"
-            "        env.read_observer = self.on_read\n"
+            "        env.subscribe('fs.read', self.on_read)\n"
             "    def on_read(self, ev):\n"
             "        self.n += 1\n",
         )
@@ -45,11 +45,12 @@ def test_scheduling_hook_flagged():
             "def bad(env, ev):\n"
             "    env.schedule(ev)\n\n"
             "def install(env):\n"
-            "    env.read_observer = bad\n",
+            "    env.subscribe('fs.read', bad)\n",
         )
     )
     assert _rules(findings) == ["flow-purity"]
     assert ".schedule()" in findings[0].message
+    assert "registered on fs.read" in findings[0].message
     assert findings[0].line == 5
 
 
@@ -74,7 +75,7 @@ def test_parameter_attribute_mutation_flagged():
             "def bad(env, ev):\n"
             "    ev.ready = True\n\n"
             "def install(env):\n"
-            "    env.read_observer = bad\n",
+            "    env.subscribe('fs.read', bad)\n",
         )
     )
     assert _rules(findings) == ["flow-purity"]
@@ -88,7 +89,7 @@ def test_mutator_method_through_parameter_flagged():
             "def bad(disk, ev):\n"
             "    disk.queue.append(ev)\n\n"
             "def install(env):\n"
-            "    env.request_observer = bad\n",
+            "    env.subscribe('disk.request', bad)\n",
         )
     )
     assert _rules(findings) == ["flow-purity"]
@@ -103,7 +104,7 @@ def test_reader_method_through_parameter_clean():
             "def ok(disk, ev):\n"
             "    return disk.queue_depth(), ev.describe()\n\n"
             "def install(env):\n"
-            "    env.request_observer = ok\n",
+            "    env.subscribe('disk.request', ok)\n",
         )
     )
     assert findings == []
@@ -118,7 +119,7 @@ def test_transitive_impurity_via_helper():
             "def hook(env, ev):\n"
             "    kick(env, ev)\n\n"
             "def install(env):\n"
-            "    env.action_observer = hook\n",
+            "    env.subscribe('prefetch.action', hook)\n",
         )
     )
     assert _rules(findings) == ["flow-purity"]
@@ -150,7 +151,7 @@ def test_lambda_registration_unprovable():
         (
             "repro/sim/hooks.py",
             "def install(env):\n"
-            "    env.read_observer = lambda ev: None\n",
+            "    env.subscribe('fs.read', lambda ev: None)\n",
         )
     )
     assert _rules(findings) == ["flow-purity"]
@@ -165,7 +166,7 @@ def test_external_named_callable_stays_quiet():
             "repro/sim/hooks.py",
             "from somewhere_external import probe\n\n"
             "def install(env):\n"
-            "    env.read_observer = probe\n",
+            "    env.subscribe('fs.read', probe)\n",
         )
     )
     assert findings == []
@@ -178,7 +179,7 @@ def test_allow_flow_purity_suppression():
             "def bad(env, ev):\n"
             "    env.schedule(ev)\n\n"
             "def install(env):\n"
-            "    env.read_observer = bad  # simlint: allow-flow-purity\n",
+            "    env.subscribe('fs.read', bad)  # simlint: allow-flow-purity\n",
         )
     )
     assert findings == []
@@ -191,7 +192,7 @@ def test_self_rooted_container_mutation_is_own_bookkeeping():
             "class Rec:\n"
             "    def __init__(self, env):\n"
             "        self.events = []\n"
-            "        env.read_observer = self.on_read\n"
+            "        env.subscribe('fs.read', self.on_read)\n"
             "    def on_read(self, ev):\n"
             "        self.events.append(ev)\n",
         )

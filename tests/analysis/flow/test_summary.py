@@ -100,15 +100,18 @@ def test_default_argument_is_def_time_source():
 
 def test_hook_registrations_both_kinds():
     s = _summary(
-        "def install(env, sink):\n"
-        "    env.read_observer = sink.on_read\n"
+        "def install(env, sink, point):\n"
+        "    env.subscribe('fs.read', sink.on_read)\n"
+        "    env.subscribe(point, sink.on_any)\n"
         "    env.add_step_observer(sink)\n"
-        "    env.read_observer = None\n"
+        "    env.subscribe('fs.read')\n"
     )
     kinds = {(h.kind, h.target) for h in s.hooks}
-    # Clearing with a constant is not a registration.
+    # A subscription is named by its point when that is a constant; a
+    # call without a callable is not a registration.
     assert kinds == {
-        ("read_observer", "sink.on_read"),
+        ("fs.read", "sink.on_read"),
+        ("subscribe", "sink.on_any"),
         ("add_step_observer", "sink"),
     }
 
@@ -153,8 +156,8 @@ def test_json_round_trip_is_lossless():
         "import time\n"
         "from .clock import stamp\n\n"
         "class Rec:\n"
-        "    def __init__(self):\n"
-        "        self.read_observer = self.on_read\n"
+        "    def __init__(self, env):\n"
+        "        env.subscribe('fs.read', self.on_read)\n"
         "    def on_read(self, ev):\n"
         "        self.n += 1\n\n"
         "def f(t=time.time()):  # simlint: allow-wallclock\n"

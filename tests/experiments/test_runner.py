@@ -4,9 +4,45 @@ Small configurations (4 nodes, short strings) so the whole file runs in a
 few seconds while still exercising every subsystem together.
 """
 
+import gc
+import weakref
+from collections import Counter
+
+import pytest
+
 from repro.experiments import ExperimentConfig, run_experiment, run_pair
+from repro.faults import FailSlow, FaultPlan, ResiliencePolicy, TransientErrors
 
 SMALL = dict(n_nodes=4, n_disks=4, file_blocks=200, total_reads=200)
+
+#: The fail-slow plus transient plan of the pinned faulted kernel cell
+#: (``tests/test_write_preservation.py``).
+FAIL_SLOW_TRANSIENT = FaultPlan(
+    faults=(
+        FailSlow(disk=1, factor=5.0, start=100.0, end=900.0),
+        TransientErrors(disk=2, probability=0.3, start=100.0, end=800.0),
+    ),
+    resilience=ResiliencePolicy(
+        timeout=240.0, max_retries=40, backoff_base=10.0, backoff_max=120.0
+    ),
+)
+
+#: Every probe point the simulator emits.
+PROBE_POINTS = (
+    "fs.access",
+    "fs.unused_prefetch",
+    "fs.write_pressure",
+    "fs.read",
+    "fs.write",
+    "fs.throttle",
+    "disk.request",
+    "prefetch.action",
+    "writeback.action",
+    "faults.signal",
+    "app.claim",
+    "app.compute",
+    "app.sync_joins",
+)
 
 
 def small_config(**kwargs):
@@ -124,3 +160,87 @@ def test_naive_memory_layout_slows_things_down():
 def test_seek_disk_model_runs():
     r = run_experiment(small_config(disk_model="seek"))
     assert r.total_accesses == 200
+
+
+class _CacheWatcher:
+    """Instrumentation that keeps only a weak reference to the cache."""
+
+    cache_ref = None
+
+    def on_environment(self, env):
+        pass
+
+    def on_wired(self, env, machine, cache):
+        self.cache_ref = weakref.ref(cache)
+
+
+@pytest.mark.parametrize(
+    "pattern, policy, faults",
+    [
+        ("gw", "oracle", None),
+        ("gw", "adaptive", FAIL_SLOW_TRANSIENT),
+        ("lfp-rw", "adaptive", FAIL_SLOW_TRANSIENT),
+    ],
+    ids=["gw-oracle", "gw-adaptive-faulted", "lfp-rw-adaptive-faulted"],
+)
+def test_held_result_does_not_keep_its_run_alive(pattern, policy, faults):
+    # A result holds its environment (through ``metrics``); the probe
+    # subscribers on it must not keep the cache/policy/machine graph.
+    watcher = _CacheWatcher()
+    result = run_experiment(
+        small_config(pattern=pattern, policy=policy, faults=faults),
+        instrument=watcher,
+    )
+    gc.collect()
+    assert result.metrics is not None
+    assert watcher.cache_ref() is None
+
+
+class _ProbeCounter:
+    """Counts the emissions of every probe point."""
+
+    def __init__(self):
+        self.counts = Counter()
+
+    def on_environment(self, env):
+        for point in PROBE_POINTS:
+            env.subscribe(point, self._counter(point))
+
+    def on_wired(self, env, machine, cache):
+        pass
+
+    def _counter(self, point):
+        def count(*args):
+            self.counts[point] += 1
+
+        return count
+
+
+def test_every_probe_point_fires():
+    # Point names are strings: a typo in an emitter or a subscriber would
+    # fail silently.  The faulted lfp-rw adaptive cell reaches them all
+    # but fs.unused_prefetch (covered in tests/fs/test_unused_prefetch.py).
+    counter = _ProbeCounter()
+    result = run_experiment(
+        small_config(
+            pattern="lfp-rw",
+            policy="adaptive",
+            sync_style="none",
+            seed=1,
+            faults=FAIL_SLOW_TRANSIENT,
+        ),
+        instrument=counter,
+    )
+    silent = [
+        point
+        for point in PROBE_POINTS
+        if point != "fs.unused_prefetch" and not counter.counts[point]
+    ]
+    assert silent == []
+    # 200 accesses: every one reaches fs.access and the three app points,
+    # and exactly one of fs.read / fs.write.
+    assert counter.counts["fs.read"] == result.total_accesses
+    assert counter.counts["fs.write"] == result.total_writes
+    assert result.total_accesses + result.total_writes == 200
+    for point in ("fs.access", "app.claim", "app.compute", "app.sync_joins"):
+        assert counter.counts[point] == 200

@@ -112,10 +112,10 @@ def test_check_invariants_after_traffic():
     assert metrics.total_accesses == 6
 
 
-def test_access_observer_called_per_demand_access():
+def test_access_probe_fires_per_demand_access():
     env, machine, file, cache, server, metrics = build_stack()
     seen = []
-    cache.access_observer = lambda node, block: seen.append((node, block))
+    env.subscribe("fs.access", lambda node, block: seen.append((node, block)))
     env.process(user_read_many(server, machine.nodes[0], [4, 4, 9]))
     env.run()
     assert seen == [(0, 4), (0, 4), (0, 9)]

@@ -135,6 +135,22 @@ def test_load_rejects_future_version(tmp_path):
         Trace.load(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("outcome", "bogus"), ("time", "x"), ("node", True), ("latency", None),
+     ("block", 1.5)],
+)
+def test_load_rejects_mistyped_record(tmp_path, field, value):
+    # Unchecked, an unknown outcome loads silently and a string time dies
+    # later with a bare TypeError in time_sorted().
+    record = {"time": 0.0, "node": 0, "block": 1, "outcome": "miss",
+              "latency": 30.0, field: value}
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(TraceFormatError, match=f":1: .*{field}"):
+        Trace.load(path)
+
+
 def test_from_json_rejects_non_object():
     with pytest.raises(TraceFormatError, match="JSON object"):
         TraceRecord.from_json("[1, 2]")
@@ -142,11 +158,12 @@ def test_from_json_rejects_non_object():
 
 def test_cache_records_trace():
     env, machine, file, cache, server, metrics = build_stack()
+    trace = Trace()
+    trace.tap(env)
     env.process(user_read_many(server, machine.nodes[0], [1, 1]))
     env.run()
-    assert cache.trace is not None
-    counts = cache.trace.outcome_counts()
+    counts = trace.outcome_counts()
     assert counts["miss"] == 1
     assert counts["ready"] == 1
     # Latencies recorded per access.
-    assert cache.trace[0].latency > cache.trace[1].latency
+    assert trace[0].latency > trace[1].latency

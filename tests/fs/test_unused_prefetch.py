@@ -1,4 +1,4 @@
-"""Tests for the unused-prefetch accounting (counter + passive observer)."""
+"""Tests for the unused-prefetch accounting (counter + passive probe)."""
 
 from repro.fs.buffer import BufferState, RequestKind
 from repro.prefetch import OraclePolicy
@@ -37,8 +37,9 @@ def test_eviction_counts_unused_prefetch():
     env, machine, file, cache, server, metrics = build_stack()
     policy = _oracle_for(cache)
     events = []
-    cache.unused_prefetch_observer = lambda node, block, reason: (
-        events.append((node, block, reason))
+    env.subscribe(
+        "fs.unused_prefetch",
+        lambda node, block, reason: events.append((node, block, reason)),
     )
     _prefetch_one(env, machine, cache, policy)
     buf = cache.buffer_for(0)
@@ -56,8 +57,9 @@ def test_fetch_failed_mid_flight_prefetch_is_written_off():
     # unused eviction — and must not linger as a phantom commitment.
     env, machine, file, cache, server, metrics = build_stack()
     events = []
-    cache.unused_prefetch_observer = lambda node, block, reason: (
-        events.append((node, block, reason))
+    env.subscribe(
+        "fs.unused_prefetch",
+        lambda node, block, reason: events.append((node, block, reason)),
     )
 
     def scenario():
@@ -115,7 +117,7 @@ def test_demand_fetch_failure_is_not_counted():
 def test_observer_is_optional():
     env, machine, file, cache, server, metrics = build_stack()
     policy = _oracle_for(cache)
-    assert cache.unused_prefetch_observer is None
+    assert env.probe("fs.unused_prefetch") == []
     _prefetch_one(env, machine, cache, policy)
-    cache._evict(cache.buffer_for(0))  # no observer: counter only
+    cache._evict(cache.buffer_for(0))  # no subscriber: counter only
     assert metrics.prefetch_unused_evictions == 1

@@ -234,15 +234,16 @@ def test_daemon_sits_out_below_background_threshold():
     assert cache.dirty_count == 1
 
 
-def test_daemon_action_observer_is_fired():
+def test_daemon_action_probe_fires():
     env, machine, file, cache, server, metrics = armed_stack(
         dirty_background_ratio=0.0
     )
     node = machine.nodes[0]
-    daemon = WritebackDaemon(node, cache, metrics, cache.writeback)
+    WritebackDaemon(node, cache, metrics, cache.writeback)
     seen = []
-    daemon.action_observer = lambda nid, s, e, out: seen.append(
-        (nid, s, e, out)
+    env.subscribe(
+        "writeback.action",
+        lambda nid, s, e, out: seen.append((nid, s, e, out)),
     )
 
     def write_then_idle():
@@ -259,13 +260,14 @@ def test_daemon_action_observer_is_fired():
 # ------------------------------------------------------ pressure signal
 
 
-def test_write_pressure_observer_sees_dirty_crossings():
+def test_write_pressure_probe_sees_dirty_crossings():
     env, machine, file, cache, server, metrics = armed_stack(
         dirty_ratio=1.0, dirty_background_ratio=0.1, demand_buffers=6
     )
     seen = []
-    cache.write_pressure_observer = lambda nid, dirty, limit: seen.append(
-        (nid, dirty, limit)
+    env.subscribe(
+        "fs.write_pressure",
+        lambda nid, dirty, limit: seen.append((nid, dirty, limit)),
     )
     env.process(user_write_many(server, machine.nodes[0], [0, 1, 2, 3]))
     env.run()

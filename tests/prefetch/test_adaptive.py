@@ -15,6 +15,7 @@ from repro.prefetch.adaptive import (
     FeedbackController,
     GlobalStreamClassifier,
 )
+from repro.sim import Environment
 
 # ------------------------------------------------------------- classifier
 
@@ -244,17 +245,21 @@ class FakeCache:
 
     def __init__(self, n_nodes=2):
         self.blocks = set()
-        self.env = SimpleNamespace(now=0.0)
+        self.env = Environment()
         self.machine = SimpleNamespace(
             nodes=[
                 SimpleNamespace(idle_periods=[]) for _ in range(n_nodes)
             ]
         )
-        self.unused_prefetch_observer = None
         self.resilience = None
 
     def contains(self, block):
         return block in self.blocks
+
+    def emit(self, point, *args):
+        """Fire probe ``point`` the way the real cache does."""
+        for fn in self.env.probe(point):
+            fn(*args)
 
 
 def make_policy(n_nodes=2, file_blocks=1000, **feedback):
@@ -342,8 +347,8 @@ def test_policy_unused_eviction_shrinks_and_unclaims():
         policy.observe(0, block)
     proposal = policy.peek(0)
     policy.commit(0, *proposal)
-    assert cache.unused_prefetch_observer is not None
-    cache.unused_prefetch_observer(0, proposal[1], "evicted")
+    assert cache.env.probe("fs.unused_prefetch")
+    cache.emit("fs.unused_prefetch", 0, proposal[1], "evicted")
     assert policy._outstanding_local[0] == 0
     assert policy.signal_counts()["unused_eviction"] == 1
     assert proposal[1] not in policy._claimed  # re-prefetchable
@@ -382,7 +387,7 @@ def test_policy_writes_off_stale_commits():
     policy.commit(0, *proposal)
     assert policy._outstanding_local[0] == 1
     # Long after the write-off horizon, the slot is reclaimed.
-    cache.env.now = policy.config.write_off_ms + 1.0
+    cache.env.run(until=policy.config.write_off_ms + 1.0)
     policy.peek(0)
     assert policy.signal_counts().get("write_off", 0) >= 1
     assert proposal[1] not in policy._issuer
@@ -501,31 +506,31 @@ def test_nonadaptive_results_have_empty_trajectory():
 # ------------------------------------------------------- dirty pressure
 
 
-def test_bind_attaches_write_pressure_observer():
+def test_bind_subscribes_write_pressure():
     policy, cache = make_policy()
-    assert cache.write_pressure_observer is not None
+    assert cache.env.probe("fs.write_pressure")
 
 
 def test_dirty_pressure_shrinks_global_scope_once_per_excursion():
     policy, cache = make_policy(initial_distance=8, max_distance=8)
     before = policy._global_controller.distance
     # Crossing the background limit latches exactly one shrink...
-    cache.write_pressure_observer(0, 3, 2)
-    cache.write_pressure_observer(0, 4, 2)
-    cache.write_pressure_observer(1, 5, 2)
+    cache.emit("fs.write_pressure", 0, 3, 2)
+    cache.emit("fs.write_pressure", 0, 4, 2)
+    cache.emit("fs.write_pressure", 1, 5, 2)
     assert policy.signal_counts()["dirty_pressure"] == 1
     assert policy._global_controller.distance < before
     # ... until the dirty population falls back below it.
-    cache.write_pressure_observer(0, 2, 2)
+    cache.emit("fs.write_pressure", 0, 2, 2)
     assert policy.signal_counts()["dirty_pressure"] == 1
-    cache.write_pressure_observer(0, 3, 2)
+    cache.emit("fs.write_pressure", 0, 3, 2)
     assert policy.signal_counts()["dirty_pressure"] == 2
 
 
 def test_dirty_pressure_ignored_below_background_limit():
     policy, cache = make_policy()
-    cache.write_pressure_observer(0, 1, 4)
-    cache.write_pressure_observer(0, 2, 4)
+    cache.emit("fs.write_pressure", 0, 1, 4)
+    cache.emit("fs.write_pressure", 0, 2, 4)
     assert "dirty_pressure" not in policy.signal_counts()
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.prefetch import OraclePolicy
-from repro.sim import RandomStreams
+from repro.sim import Environment, RandomStreams
 from repro.workload import ProgressTracker, make_pattern
 
 
@@ -12,6 +12,7 @@ class FakeCache:
 
     def __init__(self):
         self.blocks = set()
+        self.env = Environment()
 
     def contains(self, block):
         return block in self.blocks

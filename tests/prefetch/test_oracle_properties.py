@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.prefetch import OraclePolicy
-from repro.sim import RandomStreams
+from repro.sim import Environment, RandomStreams
 from repro.workload import ProgressTracker, make_pattern
 
 
 class FakeCache:
     def __init__(self):
         self.blocks = set()
+        self.env = Environment()
 
     def contains(self, block):
         return block in self.blocks

@@ -3,11 +3,13 @@
 import pytest
 
 from repro.prefetch import GlobalSequentialPolicy, OBLPolicy, PortionPolicy
+from repro.sim import Environment
 
 
 class FakeCache:
     def __init__(self):
         self.blocks = set()
+        self.env = Environment()
 
     def contains(self, block):
         return block in self.blocks

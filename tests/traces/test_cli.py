@@ -36,6 +36,19 @@ def test_record_then_stats_then_replay(tmp_path, capsys):
     assert "hit ratio" in out
 
 
+def test_record_read_write_pattern(tmp_path, capsys):
+    from repro.traces import ReplayTrace
+
+    path = tmp_path / "rw.jsonl"
+    rc = main([
+        "trace", "record", "--pattern", "lfp-rw", "--nodes", "4",
+        "--disks", "4", "--file-blocks", "200", "--reads", "200",
+        "-o", str(path),
+    ])
+    assert rc == 0
+    assert ReplayTrace.load(path).stats()["n_writes"] > 0
+
+
 def test_synth_then_replay_audit(tmp_path, capsys):
     path = tmp_path / "syn.jsonl"
     rc = main([

@@ -101,6 +101,24 @@ def test_load_rejects_missing_required_field(tmp_path):
         ReplayTrace.load(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("compute", "x"), ("block", "y"), ("node", 1.5), ("portion", None),
+     ("sync_joins", True)],
+)
+def test_load_rejects_mistyped_record_field(tmp_path, field, value):
+    # Unchecked, each of these reaches validate() as a wrong type and
+    # dies with a bare TypeError (or, for a bool, loads as a number).
+    trace = small_trace()
+    path = tmp_path / "t.jsonl"
+    trace.save(path)
+    record = {"node": 0, "block": 5, field: value}
+    with path.open("a") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(TraceFormatError, match=f":5: .*'{field}'"):
+        ReplayTrace.load(path)
+
+
 def test_load_rejects_unknown_meta_field(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text(

@@ -44,6 +44,8 @@ def per_node_blocks(result):
         ("lfp", "total"),
         ("lfp", "portion"),
         ("lrp", "none"),
+        ("lfp-rw", "none"),
+        ("wstream", "none"),
     ],
 )
 def test_record_replay_fidelity(pattern, sync):
@@ -52,6 +54,7 @@ def test_record_replay_fidelity(pattern, sync):
     replayed = run_replay(trace, replay_config(trace, config))
 
     assert per_node_blocks(replayed) == per_node_blocks(original)
+    assert replayed.total_writes == original.total_writes
     assert replayed.hit_ratio == original.hit_ratio
     assert replayed.total_time == pytest.approx(
         original.total_time, rel=0.01

@@ -1,5 +1,6 @@
 """Tests for the synthetic application process."""
 
+from repro.fs import Trace
 from repro.sim import RandomStreams
 from repro.workload import (
     ProgressTracker,
@@ -13,10 +14,12 @@ from ..helpers import build_stack
 
 def run_workload(pattern_name="gw", sync_style="none", n_nodes=2,
                  total_reads=10, file_blocks=10, compute_mean=0.0,
-                 per_proc_k=10, seed=1):
+                 per_proc_k=10, seed=1, trace=None):
     env, machine, file, cache, server, metrics = build_stack(
         n_nodes=n_nodes, n_disks=n_nodes, file_blocks=file_blocks
     )
+    if trace is not None:
+        trace.tap(env)
     rng = RandomStreams(seed)
     pattern = make_pattern(
         pattern_name, n_nodes=n_nodes, total_reads=total_reads,
@@ -101,9 +104,11 @@ def test_deterministic_replay():
 
 
 def test_reads_follow_local_string_order():
-    env, machine, cache, metrics, tracker, sync = run_workload(
+    trace = Trace()
+    run_workload(
         pattern_name="lfp", n_nodes=2, total_reads=20, file_blocks=100,
+        trace=trace,
     )
     pattern = make_pattern("lfp", n_nodes=2, total_reads=20, file_blocks=100)
-    trace0 = cache.trace.by_node(0).time_sorted()
+    trace0 = trace.by_node(0).time_sorted()
     assert [r.block for r in trace0] == [int(b) for b in pattern.strings[0]]
