@@ -18,7 +18,7 @@ import numpy as np
 from repro.fs import BlockCache, CacheConfig, File, FileServer
 from repro.machine import Machine, MachineConfig
 from repro.metrics import RunMetrics, render_table
-from repro.prefetch import DaemonConfig, PrefetchDaemon, PrefetchPolicy
+from repro.prefetch import PrefetchPolicy, prefetch_daemon
 from repro.sim import Environment, RandomStreams
 from repro.workload import ProgressTracker, application, make_sync
 from repro.workload.patterns import AccessPattern
@@ -118,7 +118,7 @@ def run_with_policy(policy: Optional[PrefetchPolicy], seed: int = 1):
     if policy is not None:
         policy.bind(cache)
         for node in machine.nodes:
-            PrefetchDaemon(node, cache, policy, metrics, DaemonConfig())
+            prefetch_daemon(node, cache, policy, metrics)
 
     apps = [
         env.process(

@@ -5,16 +5,28 @@ file, the workload cell (pattern x sync style x intensity), and the
 prefetching setup.  Defaults are the paper's fixed parameters (Section
 IV-D).  Everything is a plain value so configs hash/compare cleanly and
 can be swept.
+
+Every field is checked once, at construction: its type against its
+annotation (a ``bool`` is not a number; an ``int`` is a valid float),
+then its value — partly by building the
+:class:`~repro.machine.machine.MachineConfig`,
+:class:`~repro.fs.cache.CacheConfig` and
+:class:`~repro.fs.writeback.WritebackConfig` the run will use, so a bad
+field fails before the config is hashed into a run-cache key or shipped
+to a worker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple, get_args, get_type_hints
 
 from ..faults.plan import FaultPlan
-from ..fs.writeback import WRITE_MODES
+from ..fs.cache import CacheConfig
+from ..fs.writeback import WritebackConfig
 from ..machine.costs import CostModel
+from ..machine.machine import MachineConfig
 from ..workload.patterns import ALL_PATTERN_NAMES
 from ..workload.synchronization import SYNC_STYLES
 
@@ -107,6 +119,19 @@ class ExperimentConfig:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
+        for name, (types, optional) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if value is None and optional:
+                continue
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                expected = " or ".join(t.__name__ for t in types)
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
+        # The run's machine, cache and write-path configs: building them
+        # here runs their own checks now; the runner reuses the objects.
+        for built in ("machine_config", "cache_config", "writeback_config"):
+            getattr(self, built)
         if (
             self.pattern not in ALL_PATTERN_NAMES
             and not self.pattern.startswith("trace:")
@@ -131,10 +156,7 @@ class ExperimentConfig:
                 "need 1 <= adaptive_min_distance <= "
                 "adaptive_initial_distance <= adaptive_max_distance"
             )
-        for name in (
-            "n_nodes", "n_disks", "file_blocks", "total_reads",
-            "per_proc_k", "total_k",
-        ):
+        for name in ("file_blocks", "total_reads", "per_proc_k", "total_k"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -156,19 +178,39 @@ class ExperimentConfig:
             raise ValueError("portion_length must be positive")
         if self.portion_stride <= 0:
             raise ValueError("portion_stride must be positive")
-        if self.write_mode not in WRITE_MODES:
-            raise ValueError(
-                f"unknown write mode {self.write_mode!r}; "
-                f"pick from {WRITE_MODES}"
-            )
-        if not 0.0 < self.dirty_ratio <= 1.0:
-            raise ValueError("dirty_ratio must be in (0, 1]")
-        if not 0.0 <= self.dirty_background_ratio <= self.dirty_ratio:
-            raise ValueError(
-                "need 0 <= dirty_background_ratio <= dirty_ratio"
-            )
         if self.faults is not None:
             self.faults.validate_for(self.n_disks)
+
+    @cached_property
+    def machine_config(self) -> MachineConfig:
+        """The simulated machine's architecture parameters."""
+        return MachineConfig(
+            n_nodes=self.n_nodes,
+            n_disks=self.n_disks,
+            costs=self.costs,
+            replicated_structures=self.replicated_structures,
+            disk_model=self.disk_model,
+        )
+
+    @cached_property
+    def cache_config(self) -> CacheConfig:
+        """The block cache's sizing and replacement policy."""
+        return CacheConfig(
+            demand_buffers_per_node=self.demand_buffers_per_node,
+            prefetch_buffers_per_node=self.prefetch_buffers_per_node,
+            prefetch_unused_limit=self.prefetch_unused_limit,
+            replacement=self.replacement,
+        )
+
+    @cached_property
+    def writeback_config(self) -> WritebackConfig:
+        """The write mode and dirty thresholds (armed only on runs whose
+        pattern writes)."""
+        return WritebackConfig(
+            write_mode=self.write_mode,
+            dirty_ratio=self.dirty_ratio,
+            dirty_background_ratio=self.dirty_background_ratio,
+        )
 
     @property
     def effective_total_reads(self) -> int:
@@ -207,3 +249,20 @@ class ExperimentConfig:
     def paired_baseline(self) -> "ExperimentConfig":
         """The matching no-prefetch run (same seed: paired comparison)."""
         return self.with_overrides(prefetch=False)
+
+
+def _accepted(hint: Any) -> Tuple[Tuple[type, ...], bool]:
+    """The types a field annotated ``hint`` accepts, and whether it may
+    be None."""
+    args = get_args(hint)
+    optional = type(None) in args
+    if optional:
+        (hint,) = [arg for arg in args if arg is not type(None)]
+    return ((int, float) if hint is float else (hint,)), optional
+
+
+#: Field name -> (accepted types, may be None), from the annotations.
+_FIELD_TYPES: Dict[str, Tuple[Tuple[type, ...], bool]] = {
+    name: _accepted(hint)
+    for name, hint in get_type_hints(ExperimentConfig).items()
+}

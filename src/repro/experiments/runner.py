@@ -16,17 +16,16 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from ..faults.events import FaultEventLog
 from ..faults.layer import ResilienceLayer
-from ..fs.cache import BlockCache, CacheConfig
+from ..fs.cache import BlockCache
 from ..fs.file import File
 from ..fs.fileserver import FileServer
 from ..fs.layout import HashedLayout, RoundRobinLayout, StripedLayout
 from ..fs.trace import Trace
-from ..fs.writeback import WritebackConfig, WritebackDaemon
-from ..machine.machine import Machine, MachineConfig
+from ..machine.machine import Machine
 from ..machine.node import IdleKind
 from ..metrics.collector import RunMetrics
 from ..obs.attribution import attribute_run, attribution_digest
-from ..prefetch.daemon import DaemonConfig, PrefetchDaemon
+from ..prefetch.daemon import prefetch_daemon, writeback_daemon
 from ..prefetch.factory import build_policy
 from ..prefetch.policy import PrefetchPolicy
 from ..sim.core import Environment
@@ -287,16 +286,7 @@ def run_materialized(
         trace = Trace()
         trace.tap(env)
 
-    machine = Machine(
-        env,
-        MachineConfig(
-            n_nodes=config.n_nodes,
-            n_disks=config.n_disks,
-            costs=config.costs,
-            replicated_structures=config.replicated_structures,
-            disk_model=config.disk_model,
-        ),
-    )
+    machine = Machine(env, config.machine_config)
     if config.layout == "round-robin":
         layout = RoundRobinLayout(config.n_disks)
     elif config.layout == "striped":
@@ -306,18 +296,7 @@ def run_materialized(
     file = File("data", config.file_blocks, layout)
     tracker = ProgressTracker(pattern, config.n_nodes)
     metrics = RunMetrics(env, config.n_nodes)
-    cache = BlockCache(
-        env,
-        machine,
-        file,
-        CacheConfig(
-            demand_buffers_per_node=config.demand_buffers_per_node,
-            prefetch_buffers_per_node=config.prefetch_buffers_per_node,
-            prefetch_unused_limit=config.prefetch_unused_limit,
-            replacement=config.replacement,
-        ),
-        metrics,
-    )
+    cache = BlockCache(env, machine, file, config.cache_config, metrics)
     server = FileServer(cache)
     resilience: Optional[ResilienceLayer] = None
     if config.faults is not None:
@@ -339,25 +318,19 @@ def run_materialized(
     if config.prefetch:
         policy = _build_policy(config, pattern, tracker)
         policy.bind(cache)
-        daemon_config = DaemonConfig(
-            min_prefetch_time=config.min_prefetch_time
-        )
         for node in machine.nodes:
-            PrefetchDaemon(node, cache, policy, metrics, daemon_config)
+            prefetch_daemon(
+                node, cache, policy, metrics, config.min_prefetch_time
+            )
 
     # Write path: armed only when the pattern actually writes, so
     # read-only runs are event-for-event identical to the pre-write
     # simulator (the proof-of-preservation hinge; docs/writes.md).
     if getattr(pattern, "has_writes", False):
-        writeback = WritebackConfig(
-            write_mode=config.write_mode,
-            dirty_ratio=config.dirty_ratio,
-            dirty_background_ratio=config.dirty_background_ratio,
-        )
-        cache.configure_writeback(writeback)
-        if writeback.write_mode == "write-back":
+        cache.configure_writeback(config.writeback_config)
+        if config.write_mode == "write-back":
             for node in machine.nodes:
-                WritebackDaemon(node, cache, metrics, writeback)
+                writeback_daemon(node, cache, metrics)
 
     if instrument is not None:
         instrument.on_wired(env, machine, cache)
@@ -468,8 +441,8 @@ def run_materialized(
         blocks_demand_fetched=metrics.blocks_demand_fetched,
         blocks_prefetched=metrics.blocks_prefetched,
         total_accesses=metrics.total_accesses,
-        prefetch_action_mean=metrics.prefetch_action_times.mean,
-        failed_action_count=metrics.failed_action_times.count,
+        prefetch_action_mean=metrics.prefetch_action_mean,
+        failed_action_count=metrics.failed_action_count,
         prefetch_outcomes=dict(metrics.prefetch_outcomes),
         per_node_read_means=metrics.per_node_mean_read_times(),
         benefit_imbalance=metrics.benefit_imbalance(),

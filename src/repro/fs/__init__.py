@@ -7,8 +7,8 @@
 * :mod:`~repro.fs.cache` — the shared block cache with demand and prefetch
   paths, metadata-lock contention, and the global prefetched-unused budget;
 * :mod:`~repro.fs.fileserver` — the application-facing read/write paths;
-* :mod:`~repro.fs.writeback` — dirty-block flusher daemon and the
-  dirty-ratio throttling model (docs/writes.md);
+* :mod:`~repro.fs.writeback` — the write mode and dirty-ratio thresholds
+  of the write path (docs/writes.md);
 * :mod:`~repro.fs.trace` — access-trace recording for offline analysis.
 """
 
@@ -19,7 +19,7 @@ from .fileserver import FileServer
 from .layout import FileLayout, HashedLayout, RoundRobinLayout, StripedLayout
 from .replacement import GlobalLRUPolicy, ReplacementPolicy, RUSetPolicy
 from .trace import Trace, TraceFormatError, TraceRecord
-from .writeback import WRITE_MODES, WritebackConfig, WritebackDaemon
+from .writeback import WRITE_MODES, WritebackConfig
 
 __all__ = [
     "File",
@@ -40,7 +40,6 @@ __all__ = [
     "FileServer",
     "WRITE_MODES",
     "WritebackConfig",
-    "WritebackDaemon",
     "Trace",
     "TraceFormatError",
     "TraceRecord",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Deque, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Generator, List, Optional
 
 from ..analysis.invariants import invariant
 from ..faults.errors import WriteFailedError
@@ -335,8 +335,8 @@ class BlockCache:
         """Start a writeback (caller holds the metadata lock and has
         taken ``buffer`` off the dirty queue): DIRTY -> WRITING plus the
         dirty accounting.  The caller must still pay the disk-enqueue
-        cost and call :meth:`_issue_write`; until then the returned write
-        event exists but cannot fire."""
+        cost and submit the write; until then the returned write event
+        exists but cannot fire."""
         event = buffer.start_writeback()
         self.dirty_count -= 1
         invariant(
@@ -347,28 +347,51 @@ class BlockCache:
         self.metrics.record_flush(reason)
         return event
 
-    def _issue_write(self, buffer: Buffer, node_id: int) -> None:
-        """Send the writeback to the block's disk — through the
-        resilience layer's retry machinery under a fault plan."""
+    def _submit(
+        self,
+        buffer: Buffer,
+        kind: RequestKind,
+        node_id: int,
+        on_success: Callable[[Buffer], None],
+        on_failure: Callable[[Buffer, BaseException], None],
+    ) -> None:
+        """Send ``buffer``'s disk I/O to its block's disk — directly, or
+        under a fault plan through the resilience layer's retry
+        machinery.  ``on_success(buffer)`` runs when the transfer
+        completes, ``on_failure(buffer, exc)`` on retry exhaustion."""
         block = buffer.block
-        invariant(block is not None, "writeback of an empty buffer", buffer)
+        invariant(block is not None, "disk I/O for an empty buffer", buffer)
         disk = self.machine.disk_for_block(self.file.disk_for(block))
         if self.resilience is not None:
             self.resilience.fetch(
                 disk,
                 block,
-                RequestKind.WRITE,
+                kind,
                 node_id,
-                on_success=lambda buf=buffer: self._write_complete(buf),
-                on_failure=lambda exc, buf=buffer: self.write_failed(
-                    buf, exc
-                ),
+                on_success=lambda: on_success(buffer),
+                on_failure=lambda exc: on_failure(buffer, exc),
             )
             return
-        request = disk.submit(block, RequestKind.WRITE, node_id)
-        request.done.callbacks.append(
-            lambda ev, buf=buffer: self._write_complete(buf)
+        request = disk.submit(block, kind, node_id)
+        request.done.callbacks.append(lambda ev: on_success(buffer))
+
+    def _submit_write(self, buffer: Buffer, node_id: int) -> None:
+        """Submit ``buffer``'s writeback."""
+        self._submit(
+            buffer,
+            RequestKind.WRITE,
+            node_id,
+            self._write_complete,
+            self.write_failed,
         )
+
+    def _breaker_open(self, block: int) -> bool:
+        """Is ``block``'s disk closed to opportunistic (daemon) I/O —
+        its circuit breaker open under a fault plan?"""
+        if self.resilience is None:
+            return False
+        disk = self.machine.disk_for_block(self.file.disk_for(block))
+        return not self.resilience.allow_prefetch(disk.disk_id)
 
     def _write_complete(self, buffer: Buffer) -> None:
         """Disk-write completion (interrupt context — uncosted): the
@@ -468,8 +491,13 @@ class BlockCache:
 
         # Enqueue the disk request (outside the lock).
         yield self.env.timeout(self.costs.disk_enqueue_time)
-        disk = self.machine.disk_for_block(self.file.disk_for(block))
-        self._issue_fetch(disk, block, RequestKind.DEMAND, node_id, victim)
+        self._submit(
+            victim,
+            RequestKind.DEMAND,
+            node_id,
+            self._fetch_complete,
+            self.fetch_failed,
+        )
         return LookupOutcome(
             kind="miss", buffer=victim, ready_event=ready_event
         )
@@ -491,33 +519,13 @@ class BlockCache:
             wait_event = self._begin_flush(flush_target, node_id, "eviction")
             self.metadata_lock.release(lock_req)
             yield self.env.timeout(self.costs.disk_enqueue_time)
-            self._issue_write(flush_target, node_id)
+            self._submit_write(flush_target, node_id)
             # A permanently failed flush fails this event: the stalled
             # requester surfaces the error, same as a failed demand fetch.
             yield wait_event
         else:
             self.metadata_lock.release(lock_req)
             yield self._freed
-
-    def _issue_fetch(self, disk, block, kind, node_id, buffer) -> None:
-        """Send a block fetch to ``disk``, directly or — under a fault
-        plan — through the resilience layer's retry machinery."""
-        if self.resilience is not None:
-            self.resilience.fetch(
-                disk,
-                block,
-                kind,
-                node_id,
-                on_success=lambda buf=buffer: self._fetch_complete(buf),
-                on_failure=lambda exc, buf=buffer: self.fetch_failed(
-                    buf, exc
-                ),
-            )
-            return
-        request = disk.submit(block, kind, node_id)
-        request.done.callbacks.append(
-            lambda ev, buf=buffer: self._fetch_complete(buf)
-        )
 
     def _fetch_complete(self, buffer: Buffer) -> None:
         """Disk completion: data present, wake waiters (interrupt context —
@@ -661,7 +669,7 @@ class BlockCache:
         event = self._begin_flush(victim, node_id, reason)
         self.metadata_lock.release(lock_req)
         yield self.env.timeout(self.costs.disk_enqueue_time)
-        self._issue_write(victim, node_id)
+        self._submit_write(victim, node_id)
         return event
 
     def flush_action(
@@ -694,26 +702,19 @@ class BlockCache:
                 self.metadata_lock.release(lock_req)
                 yield self.env.timeout(self.costs.prefetch_failed_action)
                 return "clean"
-            if self.resilience is not None:
-                disk = self.machine.disk_for_block(
-                    self.file.disk_for(victim.block)
-                )
-                if not self.resilience.allow_prefetch(disk.disk_id):
-                    # Circuit breaker open: requeue and sit out this
-                    # idle period, so *background* writes never pile
-                    # onto a sick disk.  (Foreground throttle/eviction
-                    # flushes still may — they are correctness, not
-                    # opportunism.)
-                    self._dirty_queue.appendleft(victim)
-                    self.metadata_lock.release(lock_req)
-                    yield self.env.timeout(
-                        self.costs.prefetch_failed_action
-                    )
-                    return "suspended"
+            if self._breaker_open(victim.block):
+                # Requeue and sit out this idle period, so *background*
+                # writes never pile onto a sick disk.  (Foreground
+                # throttle/eviction flushes still may — they are
+                # correctness, not opportunism.)
+                self._dirty_queue.appendleft(victim)
+                self.metadata_lock.release(lock_req)
+                yield self.env.timeout(self.costs.prefetch_failed_action)
+                return "suspended"
             self._begin_flush(victim, node_id, "background")
             self.metadata_lock.release(lock_req)
             yield self.env.timeout(self.costs.disk_enqueue_time)
-            self._issue_write(victim, node_id)
+            self._submit_write(victim, node_id)
             return "success"
         finally:
             self.memory.exit()
@@ -744,15 +745,13 @@ class BlockCache:
                 return "no_candidate"
             ref_index, block = candidate
 
-            if self.resilience is not None:
-                disk = self.machine.disk_for_block(self.file.disk_for(block))
-                if not self.resilience.allow_prefetch(disk.disk_id):
-                    # Circuit breaker open: release the reservation and
-                    # let the daemon sit out this idle period, so
-                    # prefetch traffic never piles onto a sick disk.
-                    policy.suspend(node_id, ref_index, block)
-                    yield self.env.timeout(self.costs.prefetch_failed_action)
-                    return "suspended"
+            if self._breaker_open(block):
+                # Release the reservation and let the daemon sit out this
+                # idle period, so prefetch traffic never piles onto a
+                # sick disk.
+                policy.suspend(node_id, ref_index, block)
+                yield self.env.timeout(self.costs.prefetch_failed_action)
+                return "suspended"
 
             # Request preparation (buffer search bookkeeping — local in the
             # optimized layout, remote pointer-chasing in the naive one).
@@ -794,9 +793,12 @@ class BlockCache:
             self.metadata_lock.release(lock_req)
 
             yield self.env.timeout(self.costs.disk_enqueue_time)
-            disk = self.machine.disk_for_block(self.file.disk_for(block))
-            self._issue_fetch(
-                disk, block, RequestKind.PREFETCH, node_id, victim
+            self._submit(
+                victim,
+                RequestKind.PREFETCH,
+                node_id,
+                self._fetch_complete,
+                self.fetch_failed,
             )
             return "success"
         finally:

@@ -53,9 +53,9 @@ class MachineConfig:
 
     def __post_init__(self) -> None:
         if self.n_nodes <= 0:
-            raise ValueError(f"n_nodes {self.n_nodes} must be positive")
+            raise ValueError(f"n_nodes must be positive, got {self.n_nodes}")
         if self.n_disks <= 0:
-            raise ValueError(f"n_disks {self.n_disks} must be positive")
+            raise ValueError(f"n_disks must be positive, got {self.n_disks}")
         if self.disk_model not in ("fixed", "jittered", "seek"):
             raise ValueError(f"unknown disk_model {self.disk_model!r}")
 

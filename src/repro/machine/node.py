@@ -34,6 +34,7 @@ from ..sim.sync import Gate
 from .costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..prefetch.daemon import IdleDaemon
     from ..sim.core import Environment
     from .disk import Disk
 
@@ -137,11 +138,10 @@ class Node:
         self.idle_estimator = IdleEstimator()
         self.idle_periods: List[IdlePeriod] = []
         self.overruns = Tally(f"node{node_id}.overrun")
-        #: Set by the file server / daemon wiring.
-        self.daemon = None
-        #: The node's writeback daemon, if the run has a write path
-        #: (set by :class:`~repro.fs.writeback.WritebackDaemon`).
-        self.flusher = None
+        #: The node's idle daemons by kind ("prefetch", and "writeback" on
+        #: write-back runs); each :class:`~repro.prefetch.daemon.IdleDaemon`
+        #: registers itself here.
+        self.daemons: Dict[str, "IdleDaemon"] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id}>"

@@ -11,7 +11,8 @@ Gathers every measure the paper defines (Section IV-C):
 * blocks prefetched vs demand-fetched;
 * per-idle-kind necessary/actual idle times and prefetch overrun
   (delegated to the Nodes);
-* prefetch action lengths and failure reasons;
+* idle-daemon action outcomes per kind (prefetch and writeback) and the
+  mean successful prefetch action length;
 * synchronization waits (delegated to the Barrier);
 * fault-injection counters (per-disk errors / retries / timeouts and
   circuit-breaker transitions) — all zero on healthy runs;
@@ -73,10 +74,16 @@ class RunMetrics:
         #: unused evictions: the block never arrived at all.
         self.prefetch_write_offs = 0
 
-        # Prefetch actions.
-        self.prefetch_action_times = Tally("prefetch_action")
-        self.failed_action_times = Tally("failed_prefetch_action")
-        self.prefetch_outcomes: Dict[str, int] = {}
+        # Idle-daemon actions per kind ("prefetch", "writeback"): the
+        # outcome counts and the summed duration of successful actions.
+        self.daemon_outcomes: Dict[str, Dict[str, int]] = {
+            "prefetch": {},
+            "writeback": {},
+        }
+        self.daemon_success_time: Dict[str, float] = {
+            "prefetch": 0.0,
+            "writeback": 0.0,
+        }
 
         # Synchronization (filled in by the workload at run end).
         self.sync_waits = Tally("sync_wait")
@@ -110,10 +117,6 @@ class RunMetrics:
         self.flush_failures = 0
         #: Foreground dirty-ratio stalls (the Linux throttle).
         self.throttle_stalls = Tally("throttle_stall")
-        # Flusher-daemon actions (the writeback twin of prefetch actions).
-        self.flush_action_times = Tally("flush_action")
-        self.failed_flush_action_times = Tally("failed_flush_action")
-        self.flush_outcomes: Dict[str, int] = {}
 
         # Run span.
         self.start_time: Optional[float] = None
@@ -158,17 +161,15 @@ class RunMetrics:
         """One in-flight prefetch died with its disk (fetch failure)."""
         self.prefetch_write_offs += 1
 
-    def record_prefetch_action(
-        self, duration: float, outcome: str
+    def record_daemon_action(
+        self, kind: str, duration: float, outcome: str
     ) -> None:
-        """One prefetch action (successful or not) of ``duration`` ms."""
-        self.prefetch_outcomes[outcome] = (
-            self.prefetch_outcomes.get(outcome, 0) + 1
-        )
+        """One idle-daemon action of ``kind`` (successful or not) of
+        ``duration`` ms."""
+        outcomes = self.daemon_outcomes[kind]
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
         if outcome == "success":
-            self.prefetch_action_times.record(duration)
-        else:
-            self.failed_action_times.record(duration)
+            self.daemon_success_time[kind] += duration
 
     def record_write(self, node_id: int, duration: float) -> None:
         """One application-visible write latency (see
@@ -206,16 +207,6 @@ class RunMetrics:
     def record_throttle_stall(self, duration: float) -> None:
         """One foreground dirty-ratio stall of ``duration`` ms."""
         self.throttle_stalls.record(duration)
-
-    def record_flush_action(self, duration: float, outcome: str) -> None:
-        """One flusher-daemon action (successful or not)."""
-        self.flush_outcomes[outcome] = (
-            self.flush_outcomes.get(outcome, 0) + 1
-        )
-        if outcome == "success":
-            self.flush_action_times.record(duration)
-        else:
-            self.failed_flush_action_times.record(duration)
 
     def record_disk_error(self, disk_id: int) -> None:
         """One errored disk completion observed by the resilience layer."""
@@ -267,6 +258,30 @@ class RunMetrics:
         return sum(
             1 for _, _, what in self.failslow_events if what == "detected"
         )
+
+    @property
+    def prefetch_outcomes(self) -> Dict[str, int]:
+        return self.daemon_outcomes["prefetch"]
+
+    @property
+    def flush_outcomes(self) -> Dict[str, int]:
+        """Flusher-daemon action outcomes (the writeback twin of
+        :attr:`prefetch_outcomes`)."""
+        return self.daemon_outcomes["writeback"]
+
+    @property
+    def prefetch_action_mean(self) -> float:
+        """Mean length of a successful prefetch action (0 when none)."""
+        successes = self.prefetch_outcomes.get("success", 0)
+        if successes == 0:
+            return 0.0
+        return self.daemon_success_time["prefetch"] / successes
+
+    @property
+    def failed_action_count(self) -> int:
+        """Prefetch actions that did not start a fetch."""
+        outcomes = self.prefetch_outcomes
+        return sum(outcomes.values()) - outcomes.get("success", 0)
 
     @property
     def total_accesses(self) -> int:

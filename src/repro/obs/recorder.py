@@ -328,12 +328,12 @@ class ObsRecorder:
             n_nodes=len(machine.nodes),
             n_disks=len(machine.disks),
             daemon_nodes=[
-                n.node_id for n in machine.nodes if n.daemon is not None
+                n.node_id for n in machine.nodes if "prefetch" in n.daemons
             ],
             spans=self.spans,
             timelines=self.timelines,
             flusher_nodes=[
-                n.node_id for n in machine.nodes if n.flusher is not None
+                n.node_id for n in machine.nodes if "writeback" in n.daemons
             ],
             fault_disks=fault_disks,
             attribution=list(result.node_attribution),

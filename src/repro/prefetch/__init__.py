@@ -1,11 +1,11 @@
 """Prefetching: policies, the idle-time daemon, and lead control.
 
-* :mod:`~repro.prefetch.policy` — the peek/commit policy contract and the
-  policy registry;
+* :mod:`~repro.prefetch.policy` — the peek/commit policy contract;
 * :mod:`~repro.prefetch.oracle` — the paper's reference-string oracle for
   all six access patterns (with the Section V-E minimum prefetch lead);
-* :mod:`~repro.prefetch.daemon` — the per-node idle-time prefetcher with
-  overrun semantics and the Section V-D minimum-prefetch-time throttle;
+* :mod:`~repro.prefetch.daemon` — the per-node idle daemon (prefetcher and
+  writeback flusher) with overrun semantics and the Section V-D
+  minimum-prefetch-time throttle;
 * :mod:`~repro.prefetch.predictors` — on-the-fly predictors (OBL, portion
   detection, global sequential detection): the paper's future work;
 * :mod:`~repro.prefetch.adaptive` — history-only classification with a
@@ -15,17 +15,11 @@
 """
 
 from .adaptive import AdaptiveConfig, AdaptivePolicy
-from .daemon import DaemonConfig, PrefetchDaemon
+from .daemon import IdleDaemon, prefetch_daemon, writeback_daemon
 from .factory import build_policy, policy_choices, register_policy_builder
 from .lead import earliest_candidate_index, effective_lead
 from .oracle import OraclePolicy
-from .policy import (
-    NullPolicy,
-    PrefetchPolicy,
-    make_policy,
-    policy_names,
-    register_policy,
-)
+from .policy import NullPolicy, PrefetchPolicy
 from .predictors import (
     GlobalPortionPolicy,
     GlobalSequentialPolicy,
@@ -46,11 +40,9 @@ __all__ = [
     "PortionPolicy",
     "GlobalSequentialPolicy",
     "GlobalPortionPolicy",
-    "PrefetchDaemon",
-    "DaemonConfig",
+    "IdleDaemon",
+    "prefetch_daemon",
+    "writeback_daemon",
     "effective_lead",
     "earliest_candidate_index",
-    "make_policy",
-    "register_policy",
-    "policy_names",
 ]

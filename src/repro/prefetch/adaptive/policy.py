@@ -86,7 +86,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
 
 from ...analysis.invariants import InvariantViolation
-from ..policy import register_policy
 from ..predictors import _ClaimingPolicy
 from .classifier import AccessClassifier, GlobalStreamClassifier
 from .feedback import FeedbackConfig, FeedbackController
@@ -496,6 +495,3 @@ class AdaptivePolicy(_ClaimingPolicy):
             for reason, count in controller.signals.items():
                 out[reason] = out.get(reason, 0) + count
         return out
-
-
-register_policy("adaptive")(AdaptivePolicy)

@@ -4,9 +4,7 @@ One registry maps every policy name to a builder taking the full
 experiment context — ``(config, pattern, tracker)`` — so ``run``,
 ``trace replay``, and ``tournament`` all construct policies through the
 same door and ``--policy adaptive`` works everywhere a policy flag
-exists.  (The class-level registry in :mod:`~repro.prefetch.policy` maps
-names to bare classes; this layer knows how to *parameterize* them from
-an :class:`~repro.experiments.config.ExperimentConfig`.)
+exists.
 
 Only the oracle builder touches ``pattern``/``tracker`` — it is the one
 policy that consults the reference string.  Every history-based builder

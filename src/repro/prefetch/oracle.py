@@ -29,7 +29,7 @@ from typing import Dict, Optional, Set, Tuple
 from ..workload.patterns import AccessPattern
 from ..workload.progress import ProgressTracker
 from .lead import earliest_candidate_index
-from .policy import PrefetchPolicy, register_policy
+from .policy import PrefetchPolicy
 
 __all__ = ["OraclePolicy"]
 
@@ -160,6 +160,3 @@ class OraclePolicy(PrefetchPolicy):
                 return False
             i += 1
         return True
-
-
-register_policy("oracle")(OraclePolicy)

@@ -1,4 +1,4 @@
-"""Prefetch policy interface and registry.
+"""Prefetch policy interface.
 
 A policy answers one question for the daemon: *which block should node N
 prefetch next?*  The contract is a two-phase peek/commit so that a failed
@@ -24,12 +24,12 @@ shared progress tracker instead).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fs.cache import BlockCache
 
-__all__ = ["PrefetchPolicy", "NullPolicy", "register_policy", "make_policy", "policy_names"]
+__all__ = ["PrefetchPolicy", "NullPolicy"]
 
 
 class PrefetchPolicy:
@@ -113,36 +113,3 @@ class NullPolicy(PrefetchPolicy):
     def exhausted(self, node_id: int) -> bool:
         return True
 
-
-_REGISTRY: Dict[str, Callable[..., PrefetchPolicy]] = {}
-
-
-def register_policy(name: str) -> Callable:
-    """Class decorator: register a policy factory under ``name``."""
-
-    def decorator(factory: Callable[..., PrefetchPolicy]) -> Callable:
-        if name in _REGISTRY:
-            raise ValueError(f"policy {name!r} already registered")
-        _REGISTRY[name] = factory
-        return factory
-
-    return decorator
-
-
-def make_policy(name: str, *args, **kwargs) -> PrefetchPolicy:
-    """Instantiate a registered policy by name."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-    return factory(*args, **kwargs)
-
-
-def policy_names() -> list:
-    """Names of every registered prefetch policy, sorted."""
-    return sorted(_REGISTRY)
-
-
-register_policy("null")(NullPolicy)

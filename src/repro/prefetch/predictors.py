@@ -32,7 +32,7 @@ from statistics import median
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.invariants import invariant
-from .policy import PrefetchPolicy, register_policy
+from .policy import PrefetchPolicy
 
 __all__ = ["OBLPolicy", "PortionPolicy", "GlobalSequentialPolicy", "GlobalPortionPolicy"]
 
@@ -250,11 +250,6 @@ class GlobalSequentialPolicy(_ClaimingPolicy):
         return None
 
 
-register_policy("obl")(OBLPolicy)
-register_policy("portion")(PortionPolicy)
-register_policy("global-seq")(GlobalSequentialPolicy)
-
-
 class GlobalPortionPolicy(_ClaimingPolicy):
     """Global portion learner: the on-the-fly counterpart of the gfp
     oracle.
@@ -361,6 +356,3 @@ class GlobalPortionPolicy(_ClaimingPolicy):
                 if self._usable(candidate):
                     return self._reserve(candidate)
         return None
-
-
-register_policy("global-portion")(GlobalPortionPolicy)

@@ -42,6 +42,50 @@ def test_validation():
         ExperimentConfig(sync_style="per-proc", per_proc_k=-1)
 
 
+@pytest.mark.parametrize(
+    "name, value, error",
+    [
+        ("replacement", "bogus", ValueError),
+        ("disk_model", "warp", ValueError),
+        ("demand_buffers_per_node", 0, ValueError),
+        ("prefetch_buffers_per_node", -1, ValueError),
+        ("prefetch_unused_limit", -3, ValueError),
+        ("costs", None, TypeError),
+        ("seed", "x", TypeError),
+        ("prefetch", "yes", TypeError),
+        ("lead", "abc", TypeError),
+        # A bool is not a number.
+        ("compute_mean", True, TypeError),
+    ],
+)
+def test_invalid_field_fails_at_construction(name, value, error):
+    """Each bad value fails when the config is built, naming its field —
+    not mid-run, after the config was hashed or shipped to a worker."""
+    with pytest.raises(error, match=name):
+        ExperimentConfig(**{name: value})
+
+
+def test_int_is_a_valid_float():
+    assert ExperimentConfig(compute_mean=30).compute_mean == 30
+
+
+def test_run_configs_built_from_fields():
+    cfg = ExperimentConfig(
+        n_nodes=4, replacement="global-lru", dirty_ratio=0.4
+    )
+    assert cfg.machine_config.n_nodes == 4
+    assert cfg.cache_config.replacement == "global-lru"
+    assert cfg.writeback_config.dirty_ratio == 0.4
+    assert cfg.with_overrides(n_nodes=6).machine_config.n_nodes == 6
+
+
+def test_sweep_rejects_bad_value_before_running():
+    from repro.experiments.sweeps import run_sweep
+
+    with pytest.raises(TypeError, match="^lead must be int"):
+        run_sweep("lead", ["abc"])
+
+
 def test_lw_portion_combination_rejected():
     with pytest.raises(ValueError, match="footnote 3"):
         ExperimentConfig(pattern="lw", sync_style="portion")

@@ -96,6 +96,6 @@ def test_global_lru_ignores_locality():
     assert GlobalLRUPolicy().demand_victim(cache, 0) is b
 
 
-def test_policy_names():
+def test_replacement_names():
     assert RUSetPolicy.name == "ru-set"
     assert GlobalLRUPolicy.name == "global-lru"

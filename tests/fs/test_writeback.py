@@ -8,12 +8,8 @@ and clean-before-reclaim eviction flushes.
 
 import pytest
 
-from repro.fs import (
-    WRITE_MODES,
-    BufferState,
-    WritebackConfig,
-    WritebackDaemon,
-)
+from repro.fs import WRITE_MODES, BufferState, WritebackConfig
+from repro.prefetch import writeback_daemon
 
 from ..helpers import build_stack, user_read, user_write, user_write_many
 
@@ -199,7 +195,7 @@ def test_daemon_flushes_during_idle_time():
         dirty_background_ratio=0.0
     )
     node = machine.nodes[0]
-    daemon = WritebackDaemon(node, cache, metrics, cache.writeback)
+    daemon = writeback_daemon(node, cache, metrics)
 
     def write_then_idle():
         # Three dirty blocks, then a miss: the ~30 ms SELF_IO idle
@@ -209,11 +205,11 @@ def test_daemon_flushes_during_idle_time():
 
     env.process(write_then_idle())
     env.run()
-    assert daemon.outcomes.get("success", 0) >= 1
+    assert metrics.flush_outcomes.get("success", 0) >= 1
     assert metrics.flushes_by_reason.get("background", 0) >= 1
     assert metrics.flushes_completed >= 1
     assert cache.dirty_count < 3
-    assert node.flusher is daemon
+    assert node.daemons["writeback"] is daemon
 
 
 def test_daemon_sits_out_below_background_threshold():
@@ -221,7 +217,7 @@ def test_daemon_sits_out_below_background_threshold():
         dirty_ratio=0.75, dirty_background_ratio=0.5
     )
     node = machine.nodes[0]
-    daemon = WritebackDaemon(node, cache, metrics, cache.writeback)
+    writeback_daemon(node, cache, metrics)
 
     def write_then_idle():
         yield env.process(user_write(server, node, 0))  # 1 < limit of 4
@@ -229,8 +225,8 @@ def test_daemon_sits_out_below_background_threshold():
 
     env.process(write_then_idle())
     env.run()
-    assert daemon.outcomes.get("success", 0) == 0
-    assert daemon.outcomes.get("clean", 0) >= 1
+    assert metrics.flush_outcomes.get("success", 0) == 0
+    assert metrics.flush_outcomes.get("clean", 0) >= 1
     assert cache.dirty_count == 1
 
 
@@ -239,7 +235,7 @@ def test_daemon_action_probe_fires():
         dirty_background_ratio=0.0
     )
     node = machine.nodes[0]
-    WritebackDaemon(node, cache, metrics, cache.writeback)
+    writeback_daemon(node, cache, metrics)
     seen = []
     env.subscribe(
         "writeback.action",
@@ -286,8 +282,8 @@ def test_invariants_hold_after_mixed_traffic():
         dirty_ratio=0.5, dirty_background_ratio=0.0
     )
     node0, node1 = machine.nodes[0], machine.nodes[1]
-    WritebackDaemon(node0, cache, metrics, cache.writeback)
-    WritebackDaemon(node1, cache, metrics, cache.writeback)
+    writeback_daemon(node0, cache, metrics)
+    writeback_daemon(node1, cache, metrics)
 
     def traffic(node, blocks):
         for block in blocks:

@@ -67,14 +67,20 @@ def test_benefit_imbalance_even():
 
 def test_prefetch_action_partitioning():
     env, m = make_metrics()
-    m.record_prefetch_action(3.0, "success")
-    m.record_prefetch_action(1.0, "no_buffer")
-    m.record_prefetch_action(1.0, "budget_full")
-    assert m.prefetch_action_times.count == 1
-    assert m.failed_action_times.count == 2
+    assert m.prefetch_action_mean == 0.0
+    m.record_daemon_action("prefetch", 3.0, "success")
+    m.record_daemon_action("prefetch", 1.0, "no_buffer")
+    m.record_daemon_action("prefetch", 1.0, "budget_full")
+    m.record_daemon_action("prefetch", 5.0, "success")
+    m.record_daemon_action("writeback", 7.0, "success")
+    m.record_daemon_action("writeback", 0.5, "clean")
+    assert m.prefetch_action_mean == 4.0
+    assert m.failed_action_count == 2
     assert m.prefetch_outcomes == {
-        "success": 1, "no_buffer": 1, "budget_full": 1,
+        "success": 2, "no_buffer": 1, "budget_full": 1,
     }
+    # Writeback actions never reach the prefetch counts.
+    assert m.flush_outcomes == {"success": 1, "clean": 1}
 
 
 def test_total_time_requires_run_markers():

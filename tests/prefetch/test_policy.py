@@ -1,9 +1,16 @@
-"""Tests for the policy interface and registry."""
+"""Tests for the policy interface and the policy factory registry."""
+
+from types import SimpleNamespace
 
 import pytest
 
-from repro.prefetch import NullPolicy, make_policy, policy_names
-from repro.prefetch.policy import register_policy
+from repro.experiments import ExperimentConfig
+from repro.prefetch import (
+    NullPolicy,
+    build_policy,
+    policy_choices,
+    register_policy_builder,
+)
 
 
 def test_null_policy_never_proposes():
@@ -19,23 +26,26 @@ def test_null_policy_never_proposes():
 
 
 def test_registry_contains_builtins():
-    names = policy_names()
+    names = policy_choices()
     for expected in ("null", "oracle", "obl", "portion", "global-seq"):
         assert expected in names
 
 
 def test_make_policy_unknown_rejected():
+    # ExperimentConfig rejects the name itself; the factory reads only
+    # ``config.policy`` before rejecting it.
     with pytest.raises(ValueError, match="unknown policy"):
-        make_policy("clairvoyant")
+        build_policy(SimpleNamespace(policy="clairvoyant"))
 
 
 def test_make_policy_builds_null():
-    assert isinstance(make_policy("null"), NullPolicy)
+    assert isinstance(build_policy(ExperimentConfig(policy="null")), NullPolicy)
 
 
 def test_duplicate_registration_rejected():
-    with pytest.raises(ValueError):
-        register_policy("null")(NullPolicy)
+    with pytest.raises(ValueError, match="already registered"):
+        register_policy_builder("null")(lambda config, pattern, tracker: None)
+    assert "null" in policy_choices()
 
 
 def test_observe_default_noop():
