@@ -75,6 +75,7 @@ class Auditor:
     def on_environment(self, env: Environment) -> None:
         env.add_step_observer(self.trace_hash)
         env.add_step_observer(self.race_log)
+        env.subscribe("disk.request", self.race_log.disk_request)
 
     def on_wired(
         self, env: Environment, machine: "Machine", cache: "BlockCache"

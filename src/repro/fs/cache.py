@@ -207,9 +207,12 @@ class BlockCache:
     # ------------------------------------------------------------------ util
 
     def _signal_freed(self) -> None:
-        """Wake processes waiting for any buffer to become evictable."""
-        event, self._freed = self._freed, Event(self.env)
-        event.succeed()
+        """Wake processes waiting for any buffer to become evictable.
+        With none parked on ``_freed`` there is nothing to wake, so
+        nothing is scheduled."""
+        if self._freed.callbacks:
+            event, self._freed = self._freed, Event(self.env)
+            event.succeed()
 
     def _op_time(self, local_refs: int, remote_refs: int) -> float:
         """Cost of one locked metadata operation.

@@ -193,7 +193,6 @@ class Disk:
     * ``response_times`` — Tally of enqueue-to-complete times;
     * ``demand_response`` / ``prefetch_response`` / ``write_response`` —
       kind-partitioned tallies;
-    * ``queue_length`` — time-weighted queue length (waiting requests);
     * ``busy`` — time-weighted busy indicator (utilization);
     * ``blocks_served`` — total completed requests (errored completions
       included: the transfer consumed the disk either way);
@@ -214,7 +213,6 @@ class Disk:
         self.demand_response = Tally(f"disk{disk_id}.demand_response")
         self.prefetch_response = Tally(f"disk{disk_id}.prefetch_response")
         self.write_response = Tally(f"disk{disk_id}.write_response")
-        self.queue_length = TimeWeighted(env, 0.0)
         self.busy = TimeWeighted(env, 0.0)
         self.blocks_served = 0
         self.errors = 0
@@ -243,7 +241,6 @@ class Disk:
             done=Event(self.env),
         )
         self._queue.put(request)
-        self.queue_length.set(len(self._queue.items))
         return request
 
     @property
@@ -259,7 +256,6 @@ class Disk:
         keep waiting."""
         if request in self._queue.items:
             self._queue.items.remove(request)
-            self.queue_length.set(len(self._queue.items))
             return True
         return False
 
@@ -299,20 +295,10 @@ class Disk:
             self.disk_id,
             self.busy.value,
         )
-        # The series is updated by the server *after* its get() resumes,
-        # so it may momentarily lag above the live queue — never below.
-        invariant(
-            self.queue_length.value >= len(self._queue.items),
-            "queue-length series fell below the live queue",
-            self.disk_id,
-            self.queue_length.value,
-            len(self._queue.items),
-        )
 
     def _serve(self):
         while True:
             request = yield self._queue.get()
-            self.queue_length.set(len(self._queue.items))
             request.start_time = self.env.now
             self.busy.set(1.0)
             yield self.env.timeout(self.model.service_time(request))

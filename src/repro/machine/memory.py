@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..sim.monitor import TimeWeighted
 from .costs import CostModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -62,8 +61,6 @@ class MemorySystem:
         self.costs = costs
         self.replicated_structures = replicated_structures
         self._active = 0
-        #: Time-weighted number of processors inside the I/O subsystem.
-        self.active_series = TimeWeighted(env, 0.0)
 
     @property
     def active(self) -> int:
@@ -73,14 +70,12 @@ class MemorySystem:
     def enter(self) -> None:
         """Note that a processor started I/O-subsystem work."""
         self._active += 1
-        self.active_series.set(self._active)
 
     def exit(self) -> None:
         """Note that a processor finished I/O-subsystem work."""
         if self._active <= 0:
             raise RuntimeError("MemorySystem.exit() without matching enter()")
         self._active -= 1
-        self.active_series.set(self._active)
 
     def reference_time(self, local_refs: int = 0, remote_refs: int = 0) -> float:
         """Cost of a burst of ``local_refs`` local and ``remote_refs``

@@ -7,8 +7,9 @@ A from-scratch, generator-driven simulator (no external dependency) with:
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.AllOf`/:class:`~repro.sim.events.AnyOf`;
 * :class:`~repro.sim.process.Process` with interrupts;
-* resources (:class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Store`);
+* resources (:class:`~repro.sim.resources.Resource` and the unbounded
+  :class:`~repro.sim.resources.Store`), which schedule no event that
+  nothing waits on;
 * synchronization (:class:`~repro.sim.sync.Barrier`,
   :class:`~repro.sim.sync.Gate`);
 * reproducible named RNG streams (:class:`~repro.sim.rng.RandomStreams`);

@@ -42,8 +42,8 @@ __all__ = [
 PENDING: Any = object()
 
 #: Scheduling priority for bookkeeping events (process initialization,
-#: resource hand-off).  Urgent events at time *t* run before normal events
-#: at the same *t*, which keeps resource accounting exact.
+#: interrupt delivery).  Urgent events at time *t* run before normal
+#: events at the same *t*.
 URGENT = 0
 
 #: Default scheduling priority for user-visible events.

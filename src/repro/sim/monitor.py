@@ -17,8 +17,8 @@ Two step observers support the determinism auditor
 * :class:`SimultaneousEventLog` — the DES analogue of a data-race
   detector: it flags distinct events processed at an identical
   ``(time, priority)`` instant that contend for the *same* resource
-  (a disk queue, the cache metadata lock), where only the scheduling
-  sequence number breaks the tie.
+  (the cache metadata lock, a node CPU, a disk queue), where only the
+  scheduling sequence number breaks the tie.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Environment
@@ -196,10 +196,12 @@ class EventTraceHash:
 
 @dataclass(frozen=True)
 class ResourceCollision:
-    """Distinct same-instant events contending for one resource."""
+    """Distinct same-instant events contending for one resource.
+    ``priority`` is ``None`` for a disk-queue collision, which is seen
+    through the ``disk.request`` probe rather than the event stream."""
 
     time: float
-    priority: int
+    priority: Optional[int]
     resource: str
     n_events: int
 
@@ -216,6 +218,11 @@ class SimultaneousEventLog:
     The run is still deterministic, but fragile: any refactor that
     reorders scheduling calls silently changes the outcome.  This log
     makes such collision points visible.
+
+    A submission to a disk queue schedules no event of its own, so two
+    nodes submitting to one disk at the same instant are caught by
+    :meth:`disk_request` instead: a disk serves its queue in FIFO order,
+    so such submissions complete back to back with equal enqueue times.
     """
 
     def __init__(self, keep: int = 1000) -> None:
@@ -224,6 +231,8 @@ class SimultaneousEventLog:
         self.n_collisions = 0
         self._key: Optional[Tuple[float, int]] = None
         self._bucket: List["Event"] = []
+        #: Enqueue time of each disk's previous completed request.
+        self._last_enqueue: Dict[int, float] = {}
 
     def __call__(
         self, time: float, priority: int, sequence: int, event: "Event"
@@ -243,18 +252,29 @@ class SimultaneousEventLog:
                     by_resource.setdefault(id(resource), []).append(event)
             for group in by_resource.values():
                 if len(group) > 1:
-                    self.n_collisions += 1
-                    if len(self.collisions) < self.keep:
-                        resource = getattr(group[0], "resource")
-                        self.collisions.append(
-                            ResourceCollision(
-                                time=self._key[0],
-                                priority=self._key[1],
-                                resource=type(resource).__name__,
-                                n_events=len(group),
-                            )
+                    resource = getattr(group[0], "resource")
+                    self._record(
+                        ResourceCollision(
+                            time=self._key[0],
+                            priority=self._key[1],
+                            resource=type(resource).__name__,
+                            n_events=len(group),
                         )
+                    )
         self._bucket = []
+
+    def disk_request(self, disk_id: int, request: Any) -> None:
+        """``disk.request`` subscriber: two consecutive completions on
+        one disk with equal ``enqueue_time`` are one collision."""
+        enqueued = request.enqueue_time
+        if self._last_enqueue.get(disk_id) == enqueued:
+            self._record(ResourceCollision(enqueued, None, "Disk", 2))
+        self._last_enqueue[disk_id] = enqueued
+
+    def _record(self, collision: ResourceCollision) -> None:
+        self.n_collisions += 1
+        if len(self.collisions) < self.keep:
+            self.collisions.append(collision)
 
     def finish(self) -> None:
         """Flush the trailing bucket once the run is over."""

@@ -1,22 +1,20 @@
-"""Shared resources: mutual exclusion and queues.
+"""Shared resources: mutual exclusion and a FIFO hand-off queue.
 
-Two families:
+Two primitives:
 
 * :class:`Resource` — a fixed number of usage slots with a FIFO wait queue
   (``capacity=1`` gives a lock); the node CPUs and the cache metadata
-  locks.
-* :class:`Store` — a FIFO queue of Python objects with blocking
-  ``put``/``get``; the disk request queues.
+  locks.  A caller yields ``resource.request()`` to wait for a slot and
+  later calls ``resource.release(request)`` to free it.
+* :class:`Store` — an unbounded FIFO queue of Python objects whose
+  ``put`` never blocks and whose ``get`` waits for an item; the disk
+  request queues.
 
-All wait events double as context managers, so the canonical usage is::
-
-    with resource.request() as req:
-        yield req
-        ...  # holding the resource
-    # released on exit
-
-For waits that may be abandoned (e.g. after an interrupt), every pending
-request supports :meth:`~BaseRequest.cancel`.
+Neither primitive schedules an event that nothing waits on.  A release
+grants the freed slot to the next waiter on the spot, so the only event
+it schedules is that waiter's :class:`Request`; a ``put`` appends the
+item, or hands it straight to a waiting getter by triggering that
+getter's :class:`StoreGet`.
 """
 
 from __future__ import annotations
@@ -24,52 +22,28 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
-from .events import URGENT, Event
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .core import Environment
 
 __all__ = [
     "Request",
-    "Release",
     "Resource",
     "Store",
-    "StorePut",
     "StoreGet",
 ]
 
 
-class BaseRequest(Event):
-    """Common behaviour of resource/store wait events."""
+class Request(Event):
+    """A claim on one slot of a :class:`Resource`; fires when granted."""
 
-    __slots__ = ("resource",)
-
-    def __init__(self, resource: Any) -> None:
-        super().__init__(resource.env)
-        self.resource = resource
-
-    def __enter__(self) -> "BaseRequest":
-        return self
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self.cancel_or_release()
-
-    def cancel(self) -> None:
-        """Withdraw an untriggered request from its wait queue."""
-        raise NotImplementedError
-
-    def cancel_or_release(self) -> None:
-        """Cancel if still pending; otherwise perform the matching release."""
-        raise NotImplementedError
-
-
-class Request(BaseRequest):
-    """A claim on one slot of a :class:`Resource`."""
-
-    __slots__ = ("usage_since", "_requested_at")
+    __slots__ = ("resource", "usage_since", "_requested_at")
 
     def __init__(self, resource: "Resource") -> None:
-        super().__init__(resource)
+        super().__init__(resource.env)
+        #: The claimed resource (the race log groups events by it).
+        self.resource = resource
         #: Simulation time at which the request was granted.
         self.usage_since: Optional[float] = None
         #: Simulation time at which the request entered the wait queue
@@ -78,32 +52,6 @@ class Request(BaseRequest):
         self._requested_at = resource.env.now
         resource._queue.append(self)
         resource._trigger()
-
-    def cancel(self) -> None:
-        if not self.triggered:
-            try:
-                self.resource._queue.remove(self)
-            except ValueError:
-                pass
-
-    def cancel_or_release(self) -> None:
-        if self.triggered:
-            self.resource.release(self)
-        else:
-            self.cancel()
-
-
-class Release(Event):
-    """Immediate event confirming a :class:`Resource` release."""
-
-    __slots__ = ("request",)
-
-    def __init__(self, resource: "Resource", request: Request) -> None:
-        super().__init__(resource.env)
-        self.request = request
-        self._ok = True
-        self._value = None
-        self.env.schedule(self, priority=URGENT)
 
 
 class Resource:
@@ -155,8 +103,9 @@ class Resource:
         """Ask for a slot; the returned event fires when granted."""
         return Request(self)
 
-    def release(self, request: Request) -> Release:
-        """Free the slot held by ``request``."""
+    def release(self, request: Request) -> None:
+        """Free the slot held by ``request`` and grant it to the next
+        waiter, if any."""
         try:
             self.users.remove(request)
         except ValueError:
@@ -165,9 +114,7 @@ class Resource:
             ) from None
         if request.usage_since is not None:
             self.busy_time += self.env.now - request.usage_since
-        release = Release(self, request)
         self._trigger()
-        return release
 
     def _trigger(self) -> None:
         while self._queue and len(self.users) < self.capacity:
@@ -180,88 +127,49 @@ class Resource:
             req.succeed()
 
 
-class StorePut(BaseRequest):
-    """Pending insertion into a :class:`Store`."""
+class StoreGet(Event):
+    """Pending removal from a :class:`Store`; fires with the item."""
 
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any) -> None:
-        super().__init__(store)
-        self.item = item
-        store._put_queue.append(self)
-        store._trigger()
-
-    def cancel(self) -> None:
-        if not self.triggered:
-            try:
-                self.resource._put_queue.remove(self)
-            except ValueError:
-                pass
-
-    def cancel_or_release(self) -> None:
-        self.cancel()
-
-
-class StoreGet(BaseRequest):
-    """Pending removal from a :class:`Store`."""
-
-    __slots__ = ()
+    __slots__ = ("resource",)
 
     def __init__(self, store: "Store") -> None:
-        super().__init__(store)
-        store._get_queue.append(self)
-        store._trigger()
-
-    def cancel(self) -> None:
-        if not self.triggered:
-            try:
-                self.resource._get_queue.remove(self)
-            except ValueError:
-                pass
-
-    def cancel_or_release(self) -> None:
-        self.cancel()
+        super().__init__(store.env)
+        #: The store taken from (the race log groups events by it).
+        self.resource = store
+        # Getters wait only while the store is empty, so an item on hand
+        # means no earlier getter is queued ahead of this one.
+        if store.items:
+            self.succeed(store.items.popleft())
+        else:
+            store._get_queue.append(self)
 
 
 class Store:
-    """FIFO queue of items with blocking ``put``/``get``.
+    """Unbounded FIFO queue of items: ``put`` never blocks, ``get`` waits
+    for an item.
 
-    ``items`` and both wait queues are :class:`collections.deque`\\ s, so
+    ``items`` and the getter queue are :class:`collections.deque`\\ s, so
     every hand-off pops from the left in O(1).
     """
 
-    __slots__ = ("env", "capacity", "items", "_put_queue", "_get_queue")
+    __slots__ = ("env", "items", "_get_queue")
 
-    def __init__(
-        self, env: "Environment", capacity: float = float("inf")
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity {capacity} must be positive")
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._put_queue: deque[StorePut] = deque()
         self._get_queue: deque[StoreGet] = deque()
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def put(self, item: Any) -> StorePut:
-        return StorePut(self, item)
+    def put(self, item: Any) -> None:
+        """Append ``item``, or hand it straight to the oldest waiting
+        getter."""
+        if self._get_queue:
+            self._get_queue.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> StoreGet:
+        """Take the oldest item; the returned event fires with it."""
         return StoreGet(self)
-
-    def _trigger(self) -> None:
-        items = self.items
-        puts = self._put_queue
-        gets = self._get_queue
-        while True:
-            while puts and len(items) < self.capacity:
-                put = puts.popleft()
-                items.append(put.item)
-                put.succeed()
-            if not (gets and items):
-                return
-            while gets and items:
-                gets.popleft().succeed(items.popleft())

@@ -7,6 +7,8 @@ from repro.analysis import InvariantViolation, invariant, run_twice_and_diff
 from repro.analysis.audit import Auditor, run_with_audit
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.machine.disk import Disk, RequestKind
+from repro.sim import Environment
 from repro.sim.monitor import EventTraceHash, SimultaneousEventLog
 
 
@@ -115,6 +117,32 @@ def test_race_detector_caps_retained_collisions():
     log.finish()
     assert log.n_collisions == 4
     assert len(log.collisions) == 2
+
+
+def _audited_disk_log(n_requests):
+    """Submit ``n_requests`` to one idle disk at t=0 under an auditor."""
+    env = Environment()
+    auditor = Auditor(sweep_interval=None)
+    auditor.on_environment(env)
+    disk = Disk(env, 0)
+    for block in range(n_requests):
+        disk.submit(block, RequestKind.DEMAND, node_id=block)
+    env.run()
+    auditor.race_log.finish()
+    return auditor.race_log
+
+
+def test_race_detector_single_submission_to_idle_disk_is_no_race():
+    assert _audited_disk_log(1).n_collisions == 0
+
+
+def test_race_detector_flags_same_instant_disk_submissions():
+    log = _audited_disk_log(2)
+    assert log.n_collisions == 1
+    (collision,) = log.collisions
+    assert collision.resource == "Disk"
+    assert collision.time == 0.0
+    assert collision.n_events == 2
 
 
 # ------------------------------------------------------------- invariants

@@ -55,6 +55,15 @@ def test_cold_miss_takes_disk_time():
     assert cache.buffer_for(5).state is BufferState.READY
 
 
+def test_signal_freed_without_parked_read_schedules_nothing():
+    env, machine, file, cache, server, metrics = build_stack()
+    env.process(user_read(server, machine.nodes[0], 5))
+    env.run()
+    before = env.event_count
+    cache._signal_freed()
+    assert env.event_count == before
+
+
 def test_reread_same_block_is_ready_hit():
     env, machine, file, cache, server, metrics = build_stack()
     node = machine.nodes[0]

@@ -71,17 +71,3 @@ def test_contention_multiplier():
     mem.enter()
     mem.enter()
     assert mem.contention_multiplier() == pytest.approx(1.2)
-
-
-def test_active_series_time_weighted():
-    env, mem = make_memory()
-
-    def proc():
-        mem.enter()
-        yield env.timeout(10.0)
-        mem.exit()
-        yield env.timeout(10.0)
-
-    env.process(proc())
-    env.run()
-    assert mem.active_series.time_average() == pytest.approx(0.5)

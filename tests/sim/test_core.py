@@ -168,61 +168,6 @@ def test_active_process_tracking():
     assert env.active_process is None
 
 
-# -- peek across queue backends ------------------------------------------------
-# The binary heap is the only event-queue backend; the parametrization
-# names it so these checks keep their historical ids.
-
-_BACKENDS = ("heap",)
-
-
-@pytest.mark.parametrize("scheduler", _BACKENDS)
-def test_peek_empty_is_inf_both_backends(scheduler):
-    env = Environment()
-    assert env.peek() == math.inf
-
-
-@pytest.mark.parametrize("scheduler", _BACKENDS)
-def test_peek_tracks_next_event_both_backends(scheduler):
-    env = Environment()
-    env.timeout(7.0)
-    env.timeout(3.0)
-    assert env.peek() == 3.0
-    env.step()  # pops the 3.0 timeout
-    assert env.peek() == 7.0
-    env.step()
-    assert env.peek() == math.inf
-
-
-def test_peek_after_cancelled_claim():
-    # A cancelled resource claim never reaches the queue, so peek only
-    # ever sees genuinely scheduled events.
-    from repro.sim import Resource
-
-    env = Environment()
-    resource = Resource(env, capacity=1)
-
-    def holder():
-        req = resource.request()
-        yield req
-        yield env.timeout(10.0)
-        resource.release(req)
-
-    def quitter():
-        req = resource.request()
-        giveup = env.timeout(2.0)
-        yield req | giveup
-        if not req.triggered:
-            req.cancel()
-
-    env.process(holder())
-    env.process(quitter())
-    env.run(until=5.0)
-    # Only the holder's 10.0 timeout remains scheduled.
-    assert env.peek() == 10.0
-    env.run()
-    assert env.peek() == math.inf
-
-
 def test_event_count_counts_scheduled_events():
     env = Environment()
     assert env.event_count == 0

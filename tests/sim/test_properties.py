@@ -34,11 +34,12 @@ def test_resource_never_exceeds_capacity(capacity, hold_times):
     overshoot = []
 
     def user(hold):
-        with res.request() as req:
-            yield req
-            if res.count > capacity:
-                overshoot.append(res.count)
-            yield env.timeout(hold)
+        req = res.request()
+        yield req
+        if res.count > capacity:
+            overshoot.append(res.count)
+        yield env.timeout(hold)
+        res.release(req)
 
     for h in hold_times:
         env.process(user(h))
@@ -84,7 +85,8 @@ def test_store_preserves_items_fifo(items):
 
     def producer():
         for item in items:
-            yield store.put(item)
+            store.put(item)
+        yield env.timeout(0.0)
 
     def consumer():
         for _ in range(len(items)):
@@ -130,10 +132,11 @@ def test_deterministic_simulation_replay(seed):
 
         def worker(i):
             yield env.timeout(rs.exponential(f"arrive-{i}", 5.0))
-            with res.request() as req:
-                yield req
-                trace.append((round(env.now, 9), i))
-                yield env.timeout(rs.exponential(f"hold-{i}", 3.0))
+            req = res.request()
+            yield req
+            trace.append((round(env.now, 9), i))
+            yield env.timeout(rs.exponential(f"hold-{i}", 3.0))
+            res.release(req)
 
         for i in range(8):
             env.process(worker(i))

@@ -21,12 +21,13 @@ def test_lock_mutual_exclusion():
     max_holding = []
 
     def user(i):
-        with lock.request() as req:
-            yield req
-            holding.append(i)
-            max_holding.append(len(holding))
-            yield env.timeout(5.0)
-            holding.remove(i)
+        req = lock.request()
+        yield req
+        holding.append(i)
+        max_holding.append(len(holding))
+        yield env.timeout(5.0)
+        holding.remove(i)
+        lock.release(req)
 
     for i in range(4):
         env.process(user(i))
@@ -42,10 +43,11 @@ def test_resource_fifo_order():
 
     def user(i):
         yield env.timeout(float(i))  # stagger arrival
-        with res.request() as req:
-            yield req
-            grant_order.append(i)
-            yield env.timeout(10.0)
+        req = res.request()
+        yield req
+        grant_order.append(i)
+        yield env.timeout(10.0)
+        res.release(req)
 
     for i in range(3):
         env.process(user(i))
@@ -58,9 +60,10 @@ def test_resource_capacity_two_parallelism():
     res = Resource(env, capacity=2)
 
     def user():
-        with res.request() as req:
-            yield req
-            yield env.timeout(10.0)
+        req = res.request()
+        yield req
+        yield env.timeout(10.0)
+        res.release(req)
 
     for _ in range(4):
         env.process(user())
@@ -84,15 +87,17 @@ def test_resource_counts():
     observed = []
 
     def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(5.0)
-            observed.append((res.count, res.waiting))
+        req = res.request()
+        yield req
+        yield env.timeout(5.0)
+        observed.append((res.count, res.waiting))
+        res.release(req)
 
     def waiter():
         yield env.timeout(1.0)
-        with res.request() as req:
-            yield req
+        req = res.request()
+        yield req
+        res.release(req)
 
     env.process(holder())
     env.process(waiter())
@@ -105,9 +110,10 @@ def test_resource_wait_statistics():
     res = Resource(env, capacity=1)
 
     def user():
-        with res.request() as req:
-            yield req
-            yield env.timeout(10.0)
+        req = res.request()
+        yield req
+        yield env.timeout(10.0)
+        res.release(req)
 
     env.process(user())
     env.process(user())
@@ -117,34 +123,21 @@ def test_resource_wait_statistics():
     assert res.busy_time == pytest.approx(20.0)
 
 
-def test_cancel_pending_request():
+def test_release_schedules_only_the_next_grant():
     env = Environment()
     res = Resource(env, capacity=1)
-    granted = []
-
-    def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(10.0)
-
-    def impatient():
-        yield env.timeout(1.0)
-        req = res.request()
-        yield env.timeout(2.0)
-        req.cancel()
-        granted.append("cancelled")
-
-    def patient():
-        yield env.timeout(2.0)
-        with res.request() as req:
-            yield req
-            granted.append("patient")
-
-    env.process(holder())
-    env.process(impatient())
-    env.process(patient())
+    first = res.request()
+    second = res.request()
     env.run()
-    assert granted == ["cancelled", "patient"]
+    assert not second.triggered
+    before = env.event_count
+    res.release(first)  # grants the waiter: one event, its Request
+    assert second.triggered
+    assert env.event_count == before + 1
+    env.run()
+    before = env.event_count
+    res.release(second)  # nobody waiting: nothing to schedule
+    assert env.event_count == before
 
 
 # ------------------------------------------------------------------- Store
@@ -157,7 +150,7 @@ def test_store_fifo():
 
     def producer():
         for item in ("a", "b", "c"):
-            yield store.put(item)
+            store.put(item)
             yield env.timeout(1.0)
 
     def consumer():
@@ -182,7 +175,7 @@ def test_store_get_blocks_when_empty():
 
     def producer():
         yield env.timeout(7.0)
-        yield store.put("late")
+        store.put("late")
 
     env.process(consumer())
     env.process(producer())
@@ -190,35 +183,23 @@ def test_store_get_blocks_when_empty():
     assert got == [(7.0, "late")]
 
 
-def test_store_capacity_blocks_put():
+def test_put_to_waiting_getter_schedules_only_the_get():
     env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer():
-        yield store.put(1)
-        times.append(env.now)
-        yield store.put(2)
-        times.append(env.now)
-
-    def consumer():
-        yield env.timeout(5.0)
-        yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    env.run()
-    assert times == [0.0, 5.0]
+    store = Store(env)
+    store.put("kept")  # no getter waiting: queued, nothing scheduled
+    assert env.event_count == 0
+    assert store.get().value == "kept"
+    get = store.get()
+    before = env.event_count
+    store.put("handed")
+    assert env.event_count == before + 1
+    assert get.value == "handed"
+    assert len(store) == 0
 
 
 def test_store_len():
     env = Environment()
     store = Store(env)
-
-    def producer():
-        yield store.put("x")
-        yield store.put("y")
-
-    env.process(producer())
-    env.run()
+    store.put("x")
+    store.put("y")
     assert len(store) == 2
