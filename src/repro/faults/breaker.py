@@ -25,6 +25,7 @@ Each transition is emitted on the ``faults.signal`` probe point as
 from __future__ import annotations
 
 import enum
+import math
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .events import FaultEventLog
@@ -109,6 +110,14 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             return self.env.now >= self._open_until
         return True  # HALF_OPEN: probes welcome
+
+    def reopens_at(self) -> float:
+        """When :meth:`peek_allow` will next turn True with no transition:
+        the cooldown end of an OPEN breaker still cooling down, else inf.
+        Pure query."""
+        if self.state is BreakerState.OPEN and self.env.now < self._open_until:
+            return self._open_until
+        return math.inf
 
     # -- result feed -------------------------------------------------------
 

@@ -138,6 +138,12 @@ class ResilienceLayer:
         passive contexts, performs no breaker transition."""
         return self.breakers[disk_id].peek_allow()
 
+    def next_reopen(self) -> float:
+        """The earliest time an OPEN breaker's cooldown ends, or inf when
+        none is cooling down.  Until then :meth:`peek_prefetch` changes
+        only on a breaker transition.  Pure query."""
+        return min(b.reopens_at() for b in self.breakers.values())
+
     def is_slow(self, disk_id: int) -> bool:
         """Is the fail-slow detector currently flagging ``disk_id``?"""
         return self.detector.is_slow(disk_id)

@@ -142,6 +142,10 @@ class BlockCache:
 
         self.metadata_lock = Resource(env, capacity=1)
         self.table: Dict[int, Buffer] = {}
+        #: Blocks removed from ``table`` so far.  Inserts go uncounted:
+        #: a policy memoizing "nothing to prefetch" only needs to know
+        #: when a block may have become prefetchable again.
+        self.departures = 0
         self.unused_prefetched = 0
         #: Buffers currently holding the prefetch budget (invariant check).
         self._budget_holders: set[int] = set()
@@ -273,6 +277,7 @@ class BlockCache:
             current = self.table.get(victim.block)
             if current is victim:
                 del self.table[victim.block]
+                self.departures += 1
         if victim.state is not BufferState.EMPTY:
             self._note_unused_eviction(victim)
             self._release_budget(victim)  # defensive; unused are protected
@@ -544,6 +549,7 @@ class BlockCache:
         simply empty again."""
         if buffer.block is not None and self.table.get(buffer.block) is buffer:
             del self.table[buffer.block]
+            self.departures += 1
         self._note_unused_eviction(buffer, reason="fetch_failed")
         self._release_budget(buffer)
         event = buffer.abort_fetch()

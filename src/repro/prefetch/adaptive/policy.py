@@ -81,6 +81,7 @@ observes, so adaptive runs stay bit-identical under ``repro audit``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
@@ -194,6 +195,14 @@ class AdaptivePolicy(_ClaimingPolicy):
         self._dirty_over = False
         #: Set in :meth:`bind` when fault-aware and the run is faulted.
         self._resilience: Optional["ResilienceLayer"] = None
+        #: Bumped by every change to state :meth:`peek` reads.
+        self._epoch = 0
+        #: Per node, the key under which its last full scan found nothing:
+        #: (epoch, cache departures, local write-off head, global write-off
+        #: head, next breaker reopen time), or None.  See :meth:`peek`.
+        self._none_memo: List[Optional[Tuple[int, int, float, float, float]]] = [
+            None
+        ] * n_nodes
 
         # Distance trajectory: (sim time, mean integer distance) points.
         self._trajectory: List[Tuple[float, float]] = []
@@ -237,6 +246,7 @@ class AdaptivePolicy(_ClaimingPolicy):
 
     def observe(self, node_id: int, block: int) -> None:
         """One demand access (the cache's ``fs.access`` probe point)."""
+        self._epoch += 1
         ctrl = self._controllers[node_id]
 
         # Consumer demand-stall: the block is absent, so the consumer is
@@ -285,6 +295,7 @@ class AdaptivePolicy(_ClaimingPolicy):
         prediction was not wasteful, the disk was unfetchable.
         """
         shrink = "write_off" if reason == "fetch_failed" else "unused_eviction"
+        self._epoch += 1
         # The block never reached a consumer: allow re-prefetching it.
         self._claimed.discard(block)
         entry = self._issuer.pop(block, None)
@@ -314,6 +325,7 @@ class AdaptivePolicy(_ClaimingPolicy):
         if dirty_count > background_limit:
             if not self._dirty_over:
                 self._dirty_over = True
+                self._epoch += 1
                 self._global_controller.shrink("dirty_pressure")
         else:
             self._dirty_over = False
@@ -328,7 +340,12 @@ class AdaptivePolicy(_ClaimingPolicy):
         is already blacklisted or flagged slow — the policy is steering
         around it, so further global shrinking would double-bill the
         same incident.  Pure arithmetic over pure queries: passive-safe.
+
+        Every kind bumps the epoch, including the ``breaker-*``
+        transitions that shrink nothing: they change what
+        ``peek_prefetch`` answers.
         """
+        self._epoch += 1
         reason = _FAULT_SHRINKS.get(kind)
         if reason is None:
             return
@@ -370,6 +387,7 @@ class AdaptivePolicy(_ClaimingPolicy):
                 break
             order.popleft()
             del self._issuer[block]
+            self._epoch += 1
             if key == "global":
                 self._outstanding_global -= 1
                 self._global_controller.shrink("write_off")
@@ -407,6 +425,55 @@ class AdaptivePolicy(_ClaimingPolicy):
         return None
 
     def peek(self, node_id: int) -> Optional[Tuple[int, int]]:
+        """Next candidate for ``node_id``, or None.
+
+        A daemon polls on every idle moment, so most peeks repeat the
+        node's last empty scan.  That None is memoized and returned
+        while all of these hold:
+
+        * the epoch is unchanged (every method that mutates state the
+          scan reads bumps it);
+        * the cache's departure count is unchanged (an insert only
+          removes candidates, so it cannot turn None into one);
+        * each write-off head is still younger than ``write_off_ms``,
+          tested with :meth:`_write_off_stale`'s own expression;
+        * no OPEN breaker's cooldown has ended since.
+
+        A memo that fails never holds again: the counters only grow and
+        time only advances.
+        """
+        cache = self.cache
+        if cache is None:
+            raise InvariantViolation("policy used before bind()")
+        memo = self._none_memo[node_id]
+        if memo is not None:
+            epoch, departures, local_head, global_head, reopen = memo
+            now = cache.env.now
+            write_off_ms = self.config.write_off_ms
+            if (
+                epoch == self._epoch
+                and departures == cache.departures
+                and now < reopen
+                and now - local_head < write_off_ms
+                and now - global_head < write_off_ms
+            ):
+                return None
+        chosen = self._scan(node_id)
+        if chosen is None:
+            local = self._commit_order[node_id]
+            glob = self._commit_order["global"]
+            self._none_memo[node_id] = (
+                self._epoch,
+                cache.departures,
+                local[0][0] if local else math.inf,
+                glob[0][0] if glob else math.inf,
+                self._resilience.next_reopen()
+                if self._resilience is not None
+                else math.inf,
+            )
+        return chosen
+
+    def _scan(self, node_id: int) -> Optional[Tuple[int, int]]:
         # Local scope first: the node's own stream is the strongest
         # signal when it is classified.
         ctrl = self._controllers[node_id]
@@ -437,6 +504,7 @@ class AdaptivePolicy(_ClaimingPolicy):
 
     def commit(self, node_id: int, ref_index: int, block: int) -> None:
         super().commit(node_id, ref_index, block)
+        self._epoch += 1
         issuer, scope = self._reserved_scope.pop(block, (node_id, "local"))
         now = self._now()
         self._issuer[block] = (issuer, scope, now)
@@ -449,10 +517,12 @@ class AdaptivePolicy(_ClaimingPolicy):
 
     def mark_covered(self, node_id: int, ref_index: int, block: int) -> None:
         super().mark_covered(node_id, ref_index, block)
+        self._epoch += 1
         self._reserved_scope.pop(block, None)
 
     def abort(self, node_id: int, ref_index: int, block: int) -> None:
         super().abort(node_id, ref_index, block)
+        self._epoch += 1
         entry = self._reserved_scope.pop(block, None)
         # Budget/buffer pressure: back off the scope that overreached.
         if entry is not None and entry[1] == "global":
@@ -470,6 +540,7 @@ class AdaptivePolicy(_ClaimingPolicy):
             self.abort(node_id, ref_index, block)
             return
         _ClaimingPolicy.abort(self, node_id, ref_index, block)
+        self._epoch += 1
         self._reserved_scope.pop(block, None)
 
     # -- reporting ---------------------------------------------------------------

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
+from repro.faults import FaultPlan, ResilienceLayer, ResiliencePolicy
+from repro.machine import RequestKind
+from repro.metrics import RunMetrics
 from repro.prefetch import AdaptiveConfig, AdaptivePolicy, build_policy
 from repro.prefetch.adaptive import (
     KIND_RANDOM,
@@ -15,7 +18,9 @@ from repro.prefetch.adaptive import (
     FeedbackController,
     GlobalStreamClassifier,
 )
-from repro.sim import Environment
+from repro.sim import Environment, RandomStreams
+
+from ..helpers import build_stack
 
 # ------------------------------------------------------------- classifier
 
@@ -241,20 +246,32 @@ def test_feedback_config_validation():
 
 
 class FakeCache:
-    """The slice of BlockCache the adaptive policy touches."""
+    """The slice of BlockCache the adaptive policy touches.  Block ``b``
+    lives on disk ``b % n_disks``."""
 
-    def __init__(self, n_nodes=2):
+    def __init__(self, n_nodes=2, n_disks=2):
         self.blocks = set()
+        self.departures = 0
         self.env = Environment()
+        disks = [SimpleNamespace(disk_id=d) for d in range(n_disks)]
         self.machine = SimpleNamespace(
             nodes=[
                 SimpleNamespace(idle_periods=[]) for _ in range(n_nodes)
-            ]
+            ],
+            n_disks=n_disks,
+            disks=disks,
+            disk_for_block=disks.__getitem__,
         )
+        self.file = SimpleNamespace(disk_for=lambda block: block % n_disks)
         self.resilience = None
 
     def contains(self, block):
         return block in self.blocks
+
+    def evict(self, block):
+        """Drop a cached block, counting the departure as BlockCache does."""
+        self.blocks.remove(block)
+        self.departures += 1
 
     def emit(self, point, *args):
         """Fire probe ``point`` the way the real cache does."""
@@ -262,13 +279,30 @@ class FakeCache:
             fn(*args)
 
 
-def make_policy(n_nodes=2, file_blocks=1000, **feedback):
+def make_policy(
+    n_nodes=2, file_blocks=1000, n_disks=2, breaker_cooldown=None, **feedback
+):
+    """A policy bound to a :class:`FakeCache`.  With ``breaker_cooldown``
+    the cache carries a real resilience layer whose breakers trip on
+    the first failure, so the policy runs fault-aware."""
     policy = AdaptivePolicy(
         file_blocks,
         n_nodes,
         AdaptiveConfig(feedback=FeedbackConfig(**feedback)),
     )
-    cache = FakeCache(n_nodes)
+    cache = FakeCache(n_nodes, n_disks)
+    if breaker_cooldown is not None:
+        cache.resilience = ResilienceLayer(
+            cache.env,
+            FaultPlan(
+                resilience=ResiliencePolicy(
+                    breaker_threshold=1, breaker_cooldown=breaker_cooldown
+                )
+            ),
+            cache.machine,
+            RandomStreams(0),
+            RunMetrics(cache.env, n_nodes),
+        )
     policy.bind(cache)
     return policy, cache
 
@@ -420,6 +454,135 @@ def test_policy_trajectory_and_summary():
 def test_policy_never_exhausts():
     policy, _ = make_policy()
     assert not policy.exhausted(0)
+
+
+# -------------------------------------------------------------- peek memo
+
+
+def count_scans(policy):
+    """Record the node of each full scan ``policy`` runs from now on; a
+    peek that runs none was answered from the memo."""
+    scans = []
+    scan = policy._scan
+
+    def spy(node_id):
+        scans.append(node_id)
+        return scan(node_id)
+
+    policy._scan = spy
+    return scans
+
+
+def test_memo_expires_when_the_write_off_head_ages():
+    # Degree 1 per scope: one local and one global commit fill both
+    # slots, so the node's peeks come back empty until a write-off.
+    policy, cache = make_policy(
+        n_nodes=1, initial_distance=8, max_distance=8, degree_cap=1
+    )
+    for block in (10, 11, 12):
+        policy.observe(0, block)
+    while True:
+        proposal = policy.peek(0)
+        if proposal is None:
+            break
+        policy.commit(0, *proposal)
+    scans = count_scans(policy)
+    cache.env.run(until=policy.config.write_off_ms - 1.0)
+    assert policy.peek(0) is None
+    assert scans == []
+    # Only the clock moves: the heads committed at 0 reach write_off_ms.
+    cache.env.run(until=policy.config.write_off_ms)
+    assert policy.peek(0) is not None
+    assert scans == [0]
+    assert policy.signal_counts()["write_off"] >= 1
+
+
+def test_memo_expires_when_a_breaker_cooldown_ends():
+    # One disk: every candidate sits behind the one breaker.
+    policy, cache = make_policy(n_nodes=1, n_disks=1, breaker_cooldown=100.0)
+    for block in (10, 11, 12):
+        policy.observe(0, block)
+    cache.resilience.breakers[0].record_failure()  # OPEN until 100 ms
+    assert policy.peek(0) is None
+    scans = count_scans(policy)
+    cache.env.run(until=99.0)
+    assert policy.peek(0) is None
+    assert scans == []
+    # Only the clock moves: the half-open probe candidate is admitted.
+    cache.env.run(until=100.0)
+    assert policy.peek(0) == (-1, 13)
+    assert scans == [0]
+
+
+@pytest.mark.parametrize("departure", ["evict", "fetch_failed"])
+def test_memo_expires_when_a_cached_block_departs(departure):
+    # A real BlockCache, so both of its departure sites are exercised.
+    env, _machine, _file, cache, _server, _metrics = build_stack(
+        n_nodes=1, n_disks=1, demand_buffers=12
+    )
+    policy = AdaptivePolicy(100, 1)
+    policy.bind(cache)
+    for block in (10, 11, 12):
+        policy.observe(0, block)
+    buffers = {}
+    for buffer, block in zip(cache.demand_rusets[0], range(13, 25)):
+        buffer.start_fetch(block, RequestKind.DEMAND, 0)
+        if departure == "evict":
+            buffer.mark_ready()
+        cache.table[block] = buffer
+        buffers[block] = buffer
+    assert policy.peek(0) is None  # every prediction is cached
+    scans = count_scans(policy)
+    assert policy.peek(0) is None
+    assert scans == []
+    # Only the cache moves: block 13 leaves the table.
+    if departure == "evict":
+        cache._evict(buffers[13])
+    else:
+        cache.fetch_failed(buffers[13], RuntimeError("disk gone"))
+    assert policy.peek(0) == (-1, 13)
+    assert scans == [0]
+
+
+def test_memo_answers_most_empty_peeks(monkeypatch):
+    """On a small gw cell the memo answers most empty peeks.  An epoch
+    bump that quietly disables it fails here."""
+    empty_peeks = []
+    empty_scans = []
+    peek = AdaptivePolicy.peek
+    scan = AdaptivePolicy._scan
+
+    def peek_spy(self, node_id):
+        answer = peek(self, node_id)
+        if answer is None:
+            empty_peeks.append(node_id)
+        return answer
+
+    def scan_spy(self, node_id):
+        answer = scan(self, node_id)
+        if answer is None:
+            empty_scans.append(node_id)
+        return answer
+
+    monkeypatch.setattr(AdaptivePolicy, "peek", peek_spy)
+    monkeypatch.setattr(AdaptivePolicy, "_scan", scan_spy)
+    run_experiment(
+        ExperimentConfig(
+            pattern="gw",
+            sync_style="none",
+            policy="adaptive",
+            seed=1,
+            n_nodes=4,
+            n_disks=4,
+            file_blocks=200,
+            total_reads=200,
+            record_trace=False,
+        )
+    )
+    memo_answers = len(empty_peeks) - len(empty_scans)
+    assert memo_answers >= 0.8 * len(empty_peeks), (
+        f"memo answered {memo_answers} of {len(empty_peeks)} empty peeks"
+    )
 
 
 # ------------------------------------------------- factory / no oracle data
