@@ -13,9 +13,8 @@ Propagation
 -----------
 Taint flows from callee to caller over the resolved call graph and the
 module-import graph, to a fixed point.  The blessed modules
-(``sim/rng.py`` and ``machine/disk.py`` for RNG; ``perf/bench.py`` for
-wall-clock — it *measures* the host by design and never feeds simulated
-time) neither seed nor forward taint.
+(``sim/rng.py`` and ``machine/disk.py``, for RNG only) neither seed nor
+forward taint of that category; no module is blessed for wall-clock.
 
 Reporting — the frontier rule
 -----------------------------
@@ -45,7 +44,7 @@ TAINT_CATEGORIES = ("rng", "wallclock")
 #: nor forward taint of that category.
 _BLESSED: Dict[str, Tuple[Tuple[str, ...], ...]] = {
     "rng": (("sim", "rng.py"), ("machine", "disk.py")),
-    "wallclock": (("perf", "bench.py"),),
+    "wallclock": (),
 }
 
 

@@ -15,11 +15,6 @@ Subcommands:
 * ``audit``   — determinism audit: run one configuration twice (prefetch
   on and off), compare event-trace hashes, and report same-instant
   resource collisions and invariant sweeps (see docs/analysis.md);
-* ``bench``   — benchmark the simulator and the perf layer: kernel
-  events/sec, sequential-vs-parallel suite wall time (digests must
-  match), cache cold/warm behaviour, peak RSS; writes
-  ``BENCH_<label>.json`` and optionally gates on a committed baseline
-  (see docs/perf.md);
 * ``faults``  — fault-injection plans (see docs/faults.md):
   ``faults make`` composes a plan from ``--fail-stop``/``--fail-slow``/
   ``--transient``/``--hot-spot`` specs plus resilience knobs and writes
@@ -643,41 +638,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0 if n_pass == n_checks else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .perf.bench import compare_baseline, render_bench, run_bench
-
-    label = args.label or ("quick" if args.quick else "full")
-    report = run_bench(
-        label=label,
-        quick=args.quick,
-        jobs=args.jobs,
-        seed=args.seed,
-        output_dir=args.output_dir,
-        profile=args.profile,
-    )
-    print(render_bench(report))
-    print(f"wrote {args.output_dir}/BENCH_{label}.json")
-    if args.profile:
-        print(f"wrote {args.output_dir}/BENCH_{label}_profile.txt")
-    status = 0 if report["ok"] else 1
-    if args.baseline is not None:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = compare_baseline(
-            report, baseline, max_regress=args.max_regress
-        )
-        for line in failures:
-            print(f"REGRESSION {line}", file=sys.stderr)
-        if failures:
-            status = 1
-        else:
-            print(f"no regression vs {args.baseline} "
-                  f"(threshold {args.max_regress:.0%})")
-    return status
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .experiments.analysis import (
         classify_pattern,
@@ -1270,43 +1230,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_perf_flags(p_fig)
     p_fig.set_defaults(func=_cmd_figure)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="benchmark the simulator and perf layer "
-        "(writes BENCH_<label>.json)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="small 3-cell suite (the CI smoke sizing) instead of the "
-        "full 46-cell mix",
-    )
-    p_bench.add_argument(
-        "--label", default=None,
-        help="report label (default: 'quick' or 'full')",
-    )
-    p_bench.add_argument("--jobs", type=int, default=4, metavar="N",
-                         help="worker fan-out for the parallel phase")
-    p_bench.add_argument("--seed", type=int, default=1)
-    p_bench.add_argument(
-        "-o", "--output-dir", default="benchmarks",
-        help="directory for BENCH_<label>.json",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None, metavar="BENCH.json",
-        help="compare events/sec against this committed report",
-    )
-    p_bench.add_argument(
-        "--max-regress", type=float, default=0.20,
-        help="maximum tolerated events/sec regression vs the baseline "
-        "(default 0.20 = 20%%)",
-    )
-    p_bench.add_argument(
-        "--profile", action="store_true",
-        help="run the kernel phase under cProfile and write "
-        "BENCH_<label>_profile.txt (sorted by cumulative time)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     p_sweep = sub.add_parser(
         "sweep", help="sweep one ExperimentConfig parameter (paired runs)"

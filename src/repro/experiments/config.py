@@ -7,8 +7,8 @@ IV-D).  Everything is a plain value so configs hash/compare cleanly and
 can be swept.
 
 Every field is checked once, at construction: its type against its
-annotation (a ``bool`` is not a number; an ``int`` is a valid float),
-then its value — partly by building the
+annotation (:func:`~repro.typecheck.check_field_types`), then its
+value — partly by building the
 :class:`~repro.machine.machine.MachineConfig`,
 :class:`~repro.fs.cache.CacheConfig` and
 :class:`~repro.fs.writeback.WritebackConfig` the run will use, so a bad
@@ -20,13 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Dict, Optional, Tuple, get_args, get_type_hints
+from typing import Any, Optional
 
 from ..faults.plan import FaultPlan
 from ..fs.cache import CacheConfig
 from ..fs.writeback import WritebackConfig
 from ..machine.costs import CostModel
 from ..machine.machine import MachineConfig
+from ..typecheck import check_field_types
 from ..workload.patterns import ALL_PATTERN_NAMES
 from ..workload.synchronization import SYNC_STYLES
 
@@ -119,15 +120,7 @@ class ExperimentConfig:
     record_trace: bool = True
 
     def __post_init__(self) -> None:
-        for name, (types, optional) in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
-            if not isinstance(value, types) or (
-                isinstance(value, bool) and bool not in types
-            ):
-                expected = " or ".join(t.__name__ for t in types)
-                raise TypeError(f"{name} must be {expected}, got {value!r}")
+        check_field_types(self)
         # The run's machine, cache and write-path configs: building them
         # here runs their own checks now; the runner reuses the objects.
         for built in ("machine_config", "cache_config", "writeback_config"):
@@ -249,20 +242,3 @@ class ExperimentConfig:
     def paired_baseline(self) -> "ExperimentConfig":
         """The matching no-prefetch run (same seed: paired comparison)."""
         return self.with_overrides(prefetch=False)
-
-
-def _accepted(hint: Any) -> Tuple[Tuple[type, ...], bool]:
-    """The types a field annotated ``hint`` accepts, and whether it may
-    be None."""
-    args = get_args(hint)
-    optional = type(None) in args
-    if optional:
-        (hint,) = [arg for arg in args if arg is not type(None)]
-    return ((int, float) if hint is float else (hint,)), optional
-
-
-#: Field name -> (accepted types, may be None), from the annotations.
-_FIELD_TYPES: Dict[str, Tuple[Tuple[type, ...], bool]] = {
-    name: _accepted(hint)
-    for name, hint in get_type_hints(ExperimentConfig).items()
-}

@@ -20,6 +20,9 @@ Four fault kinds (see ``docs/faults.md`` for semantics):
   multiplied by ``1 + alpha * queue_depth`` over a window.
 
 Windows are ``[start, end)``; ``end = None`` means "until the run ends".
+Every spec and policy field is type-checked against its annotation at
+construction, so a mistyped JSON value fails with an error that names
+the field.
 All randomness a plan induces flows through named
 :class:`~repro.sim.rng.RandomStreams` streams, so the same seed and the
 same plan reproduce the same fault schedule bit for bit.
@@ -33,6 +36,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Optional, Tuple, Union
 
+from ..typecheck import check_field_types
 from .errors import FaultPlanError
 
 __all__ = [
@@ -76,6 +80,7 @@ class FailStop:
     kind: ClassVar[str] = "fail-stop"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         _require(self.disk >= 0, f"fail-stop: disk {self.disk} must be >= 0")
         _check_window(self.at, self.recover, "fail-stop")
 
@@ -94,6 +99,7 @@ class FailSlow:
     kind: ClassVar[str] = "fail-slow"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         _require(self.disk >= 0, f"fail-slow: disk {self.disk} must be >= 0")
         _require(
             self.factor >= 1.0,
@@ -117,6 +123,7 @@ class TransientErrors:
     kind: ClassVar[str] = "transient"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         _require(self.disk >= 0, f"transient: disk {self.disk} must be >= 0")
         _require(
             0.0 < self.probability <= 1.0,
@@ -141,6 +148,7 @@ class HotSpot:
     kind: ClassVar[str] = "hot-spot"
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         _require(self.disk >= 0, f"hot-spot: disk {self.disk} must be >= 0")
         _require(
             self.alpha > 0.0, f"hot-spot: alpha {self.alpha} must be > 0"
@@ -185,6 +193,7 @@ class ResiliencePolicy:
     breaker_cooldown: float = 500.0
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         _require(self.max_retries >= 0, "max_retries must be >= 0")
         _require(self.timeout >= 0, "timeout must be >= 0")
         _require(self.backoff_base > 0, "backoff_base must be > 0")

@@ -1,4 +1,4 @@
-"""Performance layer: parallel execution, run caching, benchmarking.
+"""Performance layer: parallel execution and run caching.
 
 The simulations behind the paper's figures are embarrassingly parallel —
 every :class:`~repro.experiments.config.ExperimentConfig` is a pure
@@ -14,8 +14,10 @@ function of its fields — so this package exploits exactly that purity:
 * :mod:`repro.perf.executor` — the fan-out engine: deduplicate, consult
   the cache, run the rest (in-process or across a process pool), merge
   deterministically;
-* :mod:`repro.perf.bench` — ``rapid-transit bench``: measure wall time,
-  events/sec, peak RSS, and cache behaviour into ``BENCH_<label>.json``.
+* :mod:`repro.perf.scale` — the 100 to 1000-node sweep of the
+  simulator's own throughput (``benchmarks/test_ext_scalability.py``).
+
+The simulator's benchmark is ``perfbench/`` at the repository root.
 
 Everything defaults off: ``jobs=1`` and no cache reproduce the seed
 behaviour bit-for-bit (proven by the digest-equality tests in

@@ -101,11 +101,6 @@ class RunCache:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from disk (0.0 when none made)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def summary(self) -> str:
         """One report line: ``cache DIR: H/N hits, S stored``."""
         return (

@@ -55,15 +55,6 @@ class ExecutionStats:
     cache_hits: int = 0
     #: Requests collapsed onto an identical config in the same batch.
     deduplicated: int = 0
-    #: Widest worker fan-out used.
-    jobs: int = 1
-
-    def summary(self) -> str:
-        return (
-            f"{self.requested} runs requested: {self.executed} executed "
-            f"(jobs={self.jobs}), {self.cache_hits} from cache, "
-            f"{self.deduplicated} deduplicated"
-        )
 
 
 def _run_to_payload(
@@ -91,7 +82,6 @@ def execute_runs(
     if stats is None:
         stats = ExecutionStats()
     stats.requested += len(configs)
-    stats.jobs = max(stats.jobs, jobs)
 
     digests = [config_digest(c) for c in configs]
     stats.deduplicated += len(digests) - len(set(digests))

@@ -109,10 +109,10 @@ def test_blessed_rng_module_neither_seeds_nor_forwards():
     assert findings == []
 
 
-def test_bench_module_blessed_for_wallclock_only():
+def test_disk_module_blessed_for_rng_only():
     findings = _flow(
         (
-            "repro/perf/bench.py",
+            "repro/machine/disk.py",
             "import time\nimport random\n\n"
             "def timed():\n"
             "    return time.time()  # simlint: allow-wallclock\n\n"
@@ -121,14 +121,14 @@ def test_bench_module_blessed_for_wallclock_only():
         ),
         (
             "repro/sim/kernel.py",
-            "from repro.perf.bench import timed, pick\n\n"
+            "from repro.machine.disk import timed, pick\n\n"
             "def step():\n"
             "    return timed() + pick()\n",
         ),
     )
-    # The wallclock chain through bench is blessed; the RNG one is not.
+    # The RNG chain through disk is blessed; the wallclock one is not.
     assert _rules(findings) == ["flow-taint"]
-    assert "rng" in findings[0].message
+    assert "wallclock" in findings[0].message
 
 
 def test_taint_through_default_argument():

@@ -123,6 +123,29 @@ def test_from_dict_rejects_malformed_documents():
             FaultPlan.from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d["faults"][1].update(disk=True), "disk"),
+        (lambda d: d["faults"][1].update(disk=1.5), "disk"),
+        (lambda d: d["faults"][0].update(at="5"), "at"),
+        (lambda d: d["resilience"].update(timeout=True), "timeout"),
+        (
+            lambda d: d["resilience"].update(breaker_threshold=2.5),
+            "breaker_threshold",
+        ),
+    ],
+    ids=[
+        "disk-bool", "disk-float", "at-str", "timeout-bool", "threshold-float"
+    ],
+)
+def test_from_dict_names_a_mistyped_field(mutate, field):
+    doc = sample_plan().to_dict()
+    mutate(doc)
+    with pytest.raises(FaultPlanError, match=rf"\b{field} must be "):
+        FaultPlan.from_dict(doc)
+
+
 def test_empty_plan_is_resilience_only():
     # No faults but a policy: enables timeouts/retries/breakers on a
     # healthy machine.  Valid, serializable, targets any machine.

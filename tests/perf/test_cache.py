@@ -58,11 +58,10 @@ def test_counters_and_summary(tmp_path):
     config = _config()
     cache = RunCache(tmp_path)
     assert cache.get(config) is None
-    assert (cache.hits, cache.misses, cache.hit_rate) == (0, 1, 0.0)
+    assert (cache.hits, cache.misses) == (0, 1)
     cache.put(config, run_experiment(config))
     assert cache.get(config) is not None
     assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
-    assert cache.hit_rate == 0.5
     assert "1/2 hits, 1 stored" in cache.summary()
 
 

@@ -116,11 +116,3 @@ def test_execute_audits_sequential_and_parallel():
     assert [v["identical"] for v in seq] == [True, True]
     assert seq == par
 
-
-def test_stats_summary_mentions_everything():
-    stats = ExecutionStats(
-        requested=4, executed=2, cache_hits=1, deduplicated=1, jobs=3
-    )
-    text = stats.summary()
-    for fragment in ("4 runs", "2 executed", "jobs=3", "1 from cache"):
-        assert fragment in text
