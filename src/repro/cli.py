@@ -46,55 +46,42 @@ periodic cache/disk invariant sweeps.  ``run --obs`` appends the per-node
 bottleneck-attribution tables; ``audit --obs`` carries the observability
 recorder through both audited runs, proving tracing is schedule-neutral.
 
-``run``, ``suite``, and ``figure`` accept ``--jobs N`` (fan independent
-simulations out to N worker processes), ``--cache-dir DIR`` and
-``--no-cache`` (memoize completed runs on disk); ``audit --jobs``
-parallelizes the two audited cells.  Defaults keep everything
-sequential and uncached.  See docs/perf.md.
+``run``, ``suite``, ``figure``, ``tournament`` and ``obs attribute``
+accept ``--jobs N`` (fan independent simulations out to N worker
+processes), ``--cache-dir DIR`` and ``--no-cache`` (memoize completed
+runs on disk); ``audit --jobs`` parallelizes the two audited cells.
+Defaults keep everything sequential and uncached.  See docs/perf.md.
+
+The ten verbs that simulate (``run``, ``audit``, ``tournament``,
+``soak``, ``sweep``, ``trace record``/``replay`` and the three ``obs``
+verbs) take their :class:`ExperimentConfig` fields from one flag table
+(:func:`add_config_flags`, :func:`config_from_args`): a flag names the
+same field, with ExperimentConfig's default, everywhere; verbs differ
+only in which fields they take and in their sizing and sync defaults.
+
+Exit status: 0 on success, 1 when a check the command ran failed (an
+audit, a figure's or soak's checks, ``--check-digest``, ``--validate``),
+and 2 for a usage or input error, reported as one ``error:`` line that
+names the field or file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .analysis.lint import add_lint_arguments, run_cli as lint_cli
-from .experiments import (
-    ExperimentConfig,
-    ablation_file_layout,
-    ablation_numa_layout,
-    ablation_replacement,
-    chaos_fail_stop,
-    chaos_prefetch_under_faults,
-    chaos_writeback_fail_slow,
-    ext_disk_sensitivity,
-    ext_hybrid_patterns,
-    fig1_uneven_benefit,
-    fig3_read_time,
-    fig4_hit_ratio,
-    fig5_ready_unready,
-    fig6_hitwait_vs_readtime,
-    fig7_disk_response,
-    fig8_total_time,
-    fig9_sync_time,
-    fig10_reductions,
-    fig11_hitratio_vs_reduction,
-    fig12_compute_sweep,
-    fig13_lead_hitwait,
-    fig14_lead_missratio,
-    fig15_lead_readtime,
-    fig16_lead_totaltime,
-    ext_predictor_comparison,
-    ext_scalability,
-    run_lead_sweep,
-    run_pair,
-    run_suite,
-    vd_min_prefetch_time,
-    vf_buffer_count,
-    vf_pattern_breakdown,
-)
+from .experiments import ExperimentConfig, run_lead_sweep, run_pair, run_suite
 from .experiments.figures import FigureData
+from .experiments.report_gen import (
+    CHAOS_FIGURES,
+    FIGURE_IDS,
+    LEAD_FIGURES,
+    STANDALONE_FIGURES,
+    SUITE_FIGURES,
+)
 from .faults.plan import (
     FailSlow,
     FailStop,
@@ -105,6 +92,7 @@ from .faults.plan import (
     ResiliencePolicy,
     TransientErrors,
 )
+from .fs.writeback import WRITE_MODES
 from .metrics.report import (
     ATTRIBUTION_COLUMNS,
     attribution_rows,
@@ -117,49 +105,120 @@ from .prefetch.factory import policy_choices
 from .workload.patterns import ALL_PATTERN_NAMES, PATTERN_NAMES
 from .workload.synchronization import SYNC_STYLES
 
-__all__ = ["main"]
+__all__ = ["main", "add_config_flags", "config_from_args", "FIGURE_IDS"]
+
+T = TypeVar("T")
 
 
-_SUITE_FIGURES = {
-    "fig3": fig3_read_time,
-    "fig4": fig4_hit_ratio,
-    "fig5": fig5_ready_unready,
-    "fig6": fig6_hitwait_vs_readtime,
-    "fig7": fig7_disk_response,
-    "fig8": fig8_total_time,
-    "fig9": fig9_sync_time,
-    "fig10": fig10_reductions,
-    "fig11": fig11_hitratio_vs_reduction,
-    "vf-patterns": vf_pattern_breakdown,
-}
+class _InputError(Exception):
+    """A value the user gave is unusable: :func:`main` prints it as one
+    ``error:`` line and exits 2."""
 
-_LEAD_FIGURES = {
-    "fig13": fig13_lead_hitwait,
-    "fig14": fig14_lead_missratio,
-    "fig15": fig15_lead_readtime,
-    "fig16": fig16_lead_totaltime,
-}
 
-_STANDALONE_FIGURES = {
-    "fig1": fig1_uneven_benefit,
-    "fig12": fig12_compute_sweep,
-    "vd": vd_min_prefetch_time,
-    "vf-buffers": vf_buffer_count,
-    "ext-predictors": ext_predictor_comparison,
-    "ext-scalability": ext_scalability,
-    "ext-hybrid": ext_hybrid_patterns,
-    "ext-disk": ext_disk_sensitivity,
-    "abl-numa": ablation_numa_layout,
-    "abl-replacement": ablation_replacement,
-    "abl-layout": ablation_file_layout,
-    "chaos": chaos_prefetch_under_faults,
-    "chaos-failstop": chaos_fail_stop,
-    "chaos-writeback": chaos_writeback_fail_slow,
-}
+def _checked(build: Callable[..., T], **kwargs: Any) -> T:
+    """``build(**kwargs)``, with a ValueError (the config and spec checks
+    name the field they reject) turned into an input error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise _InputError(exc) from None
 
-FIGURE_IDS = sorted(
-    list(_SUITE_FIGURES) + list(_LEAD_FIGURES) + list(_STANDALONE_FIGURES)
-)
+
+def _plan_arg(path: str) -> FaultPlan:
+    """argparse ``type`` of ``--faults``: load the plan when the flags are
+    parsed, so a missing or malformed file is a usage error naming it."""
+    try:
+        return FaultPlan.load(path)
+    except (OSError, FaultPlanError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _plan_axis_arg(entry: str) -> Optional[FaultPlan]:
+    """argparse ``type`` of a ``--fault-plans`` entry: ``none`` is the
+    healthy machine, anything else a plan file."""
+    return None if entry == "none" else _plan_arg(entry)
+
+
+def _config_flags() -> Dict[str, Tuple[str, Dict[str, Any]]]:
+    """The ExperimentConfig fields a verb can take as flags: field ->
+    (flag, argparse options).  Built per parser, so a policy registered
+    after import is a ``--policy`` choice too."""
+    return {
+        "pattern": ("--pattern", dict(
+            choices=ALL_PATTERN_NAMES,
+            help="access pattern: the paper's six read-only names or a "
+            "read-write cell (lfp-rw, gw-rw, wstream)",
+        )),
+        "sync_style": ("--sync", dict(choices=SYNC_STYLES)),
+        "compute_mean": ("--compute", dict(
+            type=float, help="mean per-block compute time (ms)",
+        )),
+        "seed": ("--seed", dict(type=int)),
+        "policy": ("--policy", dict(choices=list(policy_choices()))),
+        "lead": ("--lead", dict(
+            type=int, help="minimum prefetch lead in references",
+        )),
+        "prefetch": ("--no-prefetch", dict(
+            action="store_false",
+            help="run the no-prefetch baseline instead",
+        )),
+        "n_nodes": ("--nodes", dict(type=int)),
+        "n_disks": ("--disks", dict(type=int)),
+        "file_blocks": ("--file-blocks", dict(type=int)),
+        "total_reads": ("--reads", dict(
+            type=int, help="total reads across all processes "
+            "(default %(default)s; None is the paper's 2000)",
+        )),
+        "faults": ("--faults", dict(
+            type=_plan_arg, metavar="PLAN.json",
+            help="fault plan to inject (see 'faults make')",
+        )),
+        "write_mode": ("--write-mode", dict(
+            choices=WRITE_MODES,
+            help="write-back (flusher daemon + dirty-ratio throttle) or "
+            "write-through (every write flushed synchronously); ignored "
+            "on read-only patterns",
+        )),
+        "dirty_ratio": ("--dirty-ratio", dict(
+            type=float, metavar="R",
+            help="foreground throttle threshold as a fraction of cache "
+            "buffers (Linux vm.dirty_ratio; default 0.5)",
+        )),
+        "dirty_background_ratio": ("--dirty-background-ratio", dict(
+            type=float, metavar="R",
+            help="background flusher threshold (Linux "
+            "vm.dirty_background_ratio; default 0.25)",
+        )),
+    }
+
+
+def add_config_flags(
+    parser: argparse.ArgumentParser,
+    fields: Sequence[str],
+    **verb_defaults: Any,
+) -> None:
+    """Give ``parser`` the flags of the ExperimentConfig ``fields``.
+
+    Each flag defaults to ExperimentConfig's own default unless
+    ``verb_defaults`` overrides it; a ``verb_defaults`` field without a
+    flag here is fixed for the verb.  :func:`config_from_args` builds
+    the config from exactly these fields.
+    """
+    table = _config_flags()
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for name in fields:
+        flag, options = table[name]
+        parser.add_argument(flag, dest=name, default=defaults[name], **options)
+    parser.set_defaults(config_fields=(*fields, *verb_defaults), **verb_defaults)
+
+
+def config_from_args(
+    args: argparse.Namespace, **overrides: Any
+) -> ExperimentConfig:
+    """The ExperimentConfig a verb's parsed flags describe, ``overrides``
+    on top; a value the config rejects is an input error (exit 2)."""
+    values = {name: getattr(args, name) for name in args.config_fields}
+    return _checked(ExperimentConfig, **{**values, **overrides})
 
 
 def _print_figure(fig: FigureData, scatter: bool = False) -> None:
@@ -194,39 +253,18 @@ def _print_audit(report) -> None:
     )
 
 
-def _load_faults(args: argparse.Namespace) -> Optional["FaultPlan"]:
-    """Load ``--faults plan.json`` when given (None otherwise)."""
-    path = getattr(args, "faults", None)
-    if path is None:
-        return None
-    return FaultPlan.load(path)
-
-
-def _load_fault_plans(
-    entries: Optional[List[str]],
-) -> Optional[tuple]:
-    """Parse ``--fault-plans`` entries: ``none`` → healthy cell, anything
-    else is a fault-plan JSON path.  Returns None when the flag is absent
-    so the spec's default (a single healthy column, or the lifted
-    ``--faults`` plan) applies."""
-    if not entries:
-        return None
-    plans = []
-    for entry in entries:
-        if entry == "none":
-            plans.append(None)
-        else:
-            plans.append(FaultPlan.load(entry))
-    return tuple(plans)
-
-
-def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
-    """The shared performance flags: worker fan-out and run caching."""
+def _add_perf_flags(
+    parser: argparse.ArgumentParser, cache: bool = True
+) -> None:
+    """The shared performance flags: worker fan-out and, unless the verb
+    never caches, run caching."""
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for independent simulations "
         "(default 1: sequential, in-process)",
     )
+    if not cache:
+        return
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="memoize completed runs under DIR "
@@ -238,26 +276,45 @@ def _add_perf_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_write_flags(parser: argparse.ArgumentParser) -> None:
-    """Write-path knobs (meaningful only on read-write patterns)."""
-    from .fs.writeback import WRITE_MODES
+def _add_output_flags(parser: argparse.ArgumentParser, what: str) -> None:
+    """The digest-gated drivers' outputs (see :func:`_write_outputs`)."""
+    parser.add_argument("--csv", default=None, metavar="FILE",
+                        help=f"also write the {what} table as CSV")
+    parser.add_argument(
+        "--digest-out", default=None, metavar="FILE",
+        help=f"write the {what} digest (for a later --check-digest)",
+    )
+    parser.add_argument(
+        "--check-digest", default=None, metavar="FILE",
+        help="compare against a saved digest; exit 1 on mismatch",
+    )
 
-    parser.add_argument(
-        "--write-mode", choices=WRITE_MODES, default="write-back",
-        help="write-back (flusher daemon + dirty-ratio throttle) or "
-        "write-through (every write flushed synchronously); ignored on "
-        "read-only patterns",
-    )
-    parser.add_argument(
-        "--dirty-ratio", type=float, default=0.5, metavar="R",
-        help="foreground throttle threshold as a fraction of cache "
-        "buffers (Linux vm.dirty_ratio; default 0.5)",
-    )
-    parser.add_argument(
-        "--dirty-background-ratio", type=float, default=0.25, metavar="R",
-        help="background flusher threshold (Linux "
-        "vm.dirty_background_ratio; default 0.25)",
-    )
+
+def _write_outputs(args: argparse.Namespace, what: str, report) -> bool:
+    """Write ``--csv``, print the digest, write ``--digest-out`` and check
+    ``--check-digest`` for a tournament or soak ``report``; False when
+    the digest does not match."""
+    if args.csv:
+        with open(args.csv, "w") as fh:
+            fh.write(report.to_csv())
+        print(f"wrote {args.csv}", file=sys.stderr)
+    digest = report.digest()
+    print(f"{what} digest: {digest}")
+    if args.digest_out:
+        with open(args.digest_out, "w") as fh:
+            fh.write(digest + "\n")
+    if not args.check_digest:
+        return True
+    with open(args.check_digest) as fh:
+        expected = fh.read().strip()
+    if digest != expected:
+        print(
+            f"digest mismatch: expected {expected}, got {digest}",
+            file=sys.stderr,
+        )
+        return False
+    print("digest check: PASS")
+    return True
 
 
 def _open_cache(args: argparse.Namespace):
@@ -299,23 +356,7 @@ def _print_fault_summary(base, pf) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    faults = _load_faults(args)
-    config = ExperimentConfig(
-        pattern=args.pattern,
-        sync_style=args.sync,
-        compute_mean=args.compute,
-        seed=args.seed,
-        policy=args.policy,
-        lead=args.lead,
-        n_nodes=args.nodes,
-        n_disks=args.disks,
-        file_blocks=args.file_blocks,
-        total_reads=args.reads,
-        faults=faults,
-        write_mode=args.write_mode,
-        dirty_ratio=args.dirty_ratio,
-        dirty_background_ratio=args.dirty_background_ratio,
-    )
+    config = config_from_args(args)
     audits = []
     cache = None
     if args.audit:
@@ -336,7 +377,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"{config.intensity} (seed {config.seed})",
         )
     )
-    if faults is not None:
+    if config.faults is not None:
         _print_fault_summary(base, pf)
     if args.obs:
         _print_attribution(base, pf)
@@ -350,21 +391,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .perf.executor import execute_audits
 
-    config = ExperimentConfig(
-        pattern=args.pattern,
-        sync_style=args.sync,
-        compute_mean=args.compute,
-        seed=args.seed,
-        policy=args.policy,
-        n_nodes=args.nodes,
-        n_disks=args.disks,
-        file_blocks=args.file_blocks,
-        total_reads=args.reads,
-        faults=_load_faults(args),
-        write_mode=args.write_mode,
-        dirty_ratio=args.dirty_ratio,
-        dirty_background_ratio=args.dirty_background_ratio,
-    )
+    config = config_from_args(args)
     verdicts = execute_audits(
         [config, config.paired_baseline()], jobs=args.jobs, obs=args.obs
     )
@@ -384,29 +411,17 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         run_tournament,
     )
 
-    try:
-        spec_kwargs = {}
-        fault_plans = _load_fault_plans(args.fault_plans)
-        if fault_plans is not None:
-            spec_kwargs["fault_plans"] = fault_plans
-        spec = TournamentSpec(
-            patterns=tuple(args.patterns),
-            sync_styles=tuple(args.sync),
-            policies=tuple(args.policies),
-            base=ExperimentConfig(
-                compute_mean=args.compute,
-                seed=args.seed,
-                n_nodes=args.nodes,
-                n_disks=args.disks,
-                file_blocks=args.file_blocks,
-                total_reads=args.reads,
-                faults=_load_faults(args),
-            ),
-            **spec_kwargs,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # Left out, the plan axis keeps the spec's default (one healthy
+    # column, or the lifted --faults plan).
+    axis = {"fault_plans": tuple(args.fault_plans)} if args.fault_plans else {}
+    spec = _checked(
+        TournamentSpec,
+        patterns=tuple(args.patterns),
+        sync_styles=tuple(args.sync),
+        policies=tuple(args.policies),
+        base=config_from_args(args),
+        **axis,
+    )
     tournament = run_tournament(
         spec,
         jobs=args.jobs,
@@ -414,10 +429,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         progress=lambda msg: print(msg, file=sys.stderr),
     )
 
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(tournament.to_csv())
-        print(f"wrote {args.csv}", file=sys.stderr)
     print(tournament.render())
     print()
     print("standings (cells won):")
@@ -429,48 +440,22 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
                 continue
             won, total = tournament.beats_baseline(policy)
             print(f"{policy} beat no-prefetch in {won}/{total} cells")
-
-    digest = tournament.digest()
-    print(f"tournament digest: {digest}")
-    if args.digest_out:
-        with open(args.digest_out, "w") as fh:
-            fh.write(digest + "\n")
-    if args.check_digest:
-        with open(args.check_digest) as fh:
-            expected = fh.read().strip()
-        if digest != expected:
-            print(
-                f"digest mismatch: expected {expected}, got {digest}",
-                file=sys.stderr,
-            )
-            return 1
-        print("digest check: PASS")
-    return 0
+    return 0 if _write_outputs(args, "tournament", tournament) else 1
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     from .experiments.soak import SoakSpec, run_soak
 
-    try:
-        spec = SoakSpec(
-            n_plans=args.plans,
-            seed=args.seed,
-            pattern=args.pattern,
-            sync_style=args.sync,
-            policy=args.policy,
-            base=ExperimentConfig(
-                compute_mean=args.compute,
-                seed=args.seed,
-                n_nodes=args.nodes,
-                n_disks=args.disks,
-                file_blocks=args.file_blocks,
-                total_reads=args.reads,
-                record_trace=False,
-            ),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    base = config_from_args(args)
+    spec = _checked(
+        SoakSpec,
+        n_plans=args.plans,
+        seed=base.seed,
+        pattern=args.pattern,
+        sync_style=args.sync,
+        policy=args.policy,
+        base=base,
+    )
 
     if args.save_plans:
         import os
@@ -489,36 +474,15 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     for cell in report.cells:
         if cell.error:
             print(f"plan {cell.index} crashed: {cell.error}")
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
-        print(f"wrote {args.csv}", file=sys.stderr)
-
-    digest = report.digest()
-    print(f"soak digest: {digest}")
-    if args.digest_out:
-        with open(args.digest_out, "w") as fh:
-            fh.write(digest + "\n")
-    ok = report.passed
-    if not ok:
-        for index, name in report.failures():
-            print(f"invariant FAILED: plan {index}: {name}")
+    for index, name in report.failures():
+        print(f"invariant FAILED: plan {index}: {name}")
     print(
         f"invariant sweep ({len(report.cells)} plans x "
         f"{len(report.cells[0].invariants)} invariants):",
-        "PASS" if ok else "FAIL",
+        "PASS" if report.passed else "FAIL",
     )
-    if args.check_digest:
-        with open(args.check_digest) as fh:
-            expected = fh.read().strip()
-        if digest != expected:
-            print(
-                f"digest mismatch: expected {expected}, got {digest}",
-                file=sys.stderr,
-            )
-            return 1
-        print("digest check: PASS")
-    return 0 if ok else 1
+    matched = _write_outputs(args, "soak", report)
+    return 0 if report.passed and matched else 1
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -566,14 +530,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
     fig_id = args.id
     cache = _open_cache(args)
-    if fig_id in _SUITE_FIGURES:
+    if fig_id in SUITE_FIGURES:
         suite = run_suite(seed=args.seed, jobs=args.jobs, cache=cache)
-        fig = _SUITE_FIGURES[fig_id](suite)
-    elif fig_id in _LEAD_FIGURES:
+        fig = SUITE_FIGURES[fig_id](suite)
+    elif fig_id in LEAD_FIGURES:
         sweep = run_lead_sweep(seed=args.seed, jobs=args.jobs, cache=cache)
-        fig = _LEAD_FIGURES[fig_id](sweep)
-    elif fig_id in _STANDALONE_FIGURES:
-        generator = _STANDALONE_FIGURES[fig_id]
+        fig = LEAD_FIGURES[fig_id](sweep)
+    else:
+        generator = {**STANDALONE_FIGURES, **CHAOS_FIGURES}[fig_id]
         # Generators batching independent runs take jobs/cache; the
         # seed-only ones (findings, extensions) run as they always have.
         kwargs = {}
@@ -583,10 +547,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         if "cache" in accepted:
             kwargs["cache"] = cache
         fig = generator(seed=args.seed, **kwargs)
-    else:
-        print(f"unknown figure {fig_id!r}; known: {FIGURE_IDS}",
-              file=sys.stderr)
-        return 2
     _print_figure(fig, scatter=args.scatter)
     if cache is not None:
         print(cache.summary())
@@ -596,12 +556,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .experiments.sweeps import SweepResult, run_sweep
 
-    base = ExperimentConfig(
-        pattern=args.pattern,
-        sync_style=args.sync,
-        compute_mean=args.compute,
-        seed=args.seed,
-    )
+    base = config_from_args(args)
     # Values are parsed as int, then float, then kept as strings.
     values = []
     for raw in args.values:
@@ -680,18 +635,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_trace_record(args: argparse.Namespace) -> int:
     from .traces import record_run
 
-    config = ExperimentConfig(
-        pattern=args.pattern,
-        sync_style=args.sync,
-        compute_mean=args.compute,
-        seed=args.seed,
-        prefetch=not args.no_prefetch,
-        n_nodes=args.nodes,
-        n_disks=args.disks,
-        file_blocks=args.file_blocks,
-        total_reads=args.reads,
-        faults=_load_faults(args),
-    )
+    config = config_from_args(args)
     result, trace = record_run(config)
     trace.save(args.output)
     print(
@@ -706,14 +650,9 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from .traces import replay_twice_and_diff
 
     trace = ReplayTrace.load(args.trace)
-    faults = _load_faults(args)
-    base = ExperimentConfig(
-        policy=args.policy,
-        lead=args.lead,
-        n_disks=args.disks if args.disks is not None else trace.meta.n_nodes,
-        faults=faults,
-    )
-    config = replay_config(trace, base)
+    n_disks = args.n_disks if args.n_disks is not None else trace.meta.n_nodes
+    config = replay_config(trace, config_from_args(args, n_disks=n_disks))
+    faults = config.faults
     if args.audit:
         ok = True
         for cell in (config, config.paired_baseline()):
@@ -827,24 +766,6 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _obs_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The experiment cell an ``obs`` subcommand describes."""
-    return ExperimentConfig(
-        pattern=args.pattern,
-        sync_style=args.sync,
-        compute_mean=args.compute,
-        seed=args.seed,
-        policy=args.policy,
-        lead=args.lead,
-        prefetch=not getattr(args, "no_prefetch", False),
-        n_nodes=args.nodes,
-        n_disks=args.disks,
-        file_blocks=args.file_blocks,
-        total_reads=args.reads,
-        faults=_load_faults(args),
-    )
-
-
 def _cmd_obs_export(args: argparse.Namespace) -> int:
     import json
 
@@ -856,7 +777,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
         validate_perfetto,
     )
 
-    config = _obs_config(args)
+    config = config_from_args(args)
     result, data = run_with_obs(config, sample_interval=args.interval)
     if args.format == "perfetto":
         payload = to_perfetto(data)
@@ -894,7 +815,7 @@ def _cmd_obs_export(args: argparse.Namespace) -> int:
 def _cmd_obs_timeline(args: argparse.Namespace) -> int:
     from .obs import render_ascii, run_with_obs, timelines_to_csv
 
-    config = _obs_config(args)
+    config = config_from_args(args)
     _, data = run_with_obs(config, sample_interval=args.interval)
     print(render_ascii(data, width=args.width))
     if args.csv is not None:
@@ -905,7 +826,7 @@ def _cmd_obs_timeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_attribute(args: argparse.Namespace) -> int:
-    config = _obs_config(args)
+    config = config_from_args(args)
     cache = _open_cache(args)
     pf, base = run_pair(config, jobs=args.jobs, cache=cache)
     print(
@@ -1040,19 +961,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Field groups of the config-flag table (add_config_flags).
+    cell = ("pattern", "sync_style", "compute_mean", "seed")
+    sizing = ("n_nodes", "n_disks", "file_blocks", "total_reads")
+    writes = ("write_mode", "dirty_ratio", "dirty_background_ratio")
+    small = dict(n_nodes=4, n_disks=4, file_blocks=400, total_reads=400)
+
     p_run = sub.add_parser("run", help="run one experiment cell (paired)")
-    p_run.add_argument(
-        "--pattern", choices=ALL_PATTERN_NAMES, default="gw",
-        help="access pattern: the paper's six read-only names or a "
-        "read-write cell (lfp-rw, gw-rw, wstream)",
+    add_config_flags(
+        p_run,
+        (*cell, "policy", "lead", *sizing, "faults", *writes),
+        sync_style="per-proc",
     )
-    p_run.add_argument("--sync", choices=SYNC_STYLES, default="per-proc")
-    p_run.add_argument("--compute", type=float, default=30.0,
-                       help="mean per-block compute time (ms)")
-    p_run.add_argument("--seed", type=int, default=1)
-    p_run.add_argument("--policy", default="oracle",
-                       choices=list(policy_choices()))
-    p_run.add_argument("--lead", type=int, default=0)
     p_run.add_argument(
         "--audit", action="store_true",
         help="run under the determinism auditor: event-trace hashing, "
@@ -1063,16 +983,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append the per-node wall-time attribution tables "
         "(compute / demand stall / sync wait / daemon theft)",
     )
-    p_run.add_argument("--nodes", type=int, default=20)
-    p_run.add_argument("--disks", type=int, default=20)
-    p_run.add_argument("--file-blocks", type=int, default=2000)
-    p_run.add_argument("--reads", type=int, default=None,
-                       help="total reads (default: the paper's 2000)")
-    p_run.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
-        help="fault plan to inject (see 'faults make')",
-    )
-    _add_write_flags(p_run)
     _add_perf_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -1080,29 +990,14 @@ def build_parser() -> argparse.ArgumentParser:
         "audit",
         help="determinism audit: run twice, diff event-trace hashes",
     )
-    p_audit.add_argument(
-        "--pattern", choices=ALL_PATTERN_NAMES, default="gw"
+    add_config_flags(
+        p_audit,
+        (*cell, "policy", *sizing, "faults", *writes),
+        sync_style="per-proc",
+        **small,
     )
-    p_audit.add_argument("--sync", choices=SYNC_STYLES, default="per-proc")
-    p_audit.add_argument("--compute", type=float, default=30.0)
-    p_audit.add_argument("--seed", type=int, default=1)
-    p_audit.add_argument("--policy", default="oracle",
-                         choices=list(policy_choices()))
-    p_audit.add_argument("--nodes", type=int, default=4,
-                         help="machine size for the audit run")
-    p_audit.add_argument("--disks", type=int, default=4)
-    p_audit.add_argument("--file-blocks", type=int, default=400)
-    p_audit.add_argument("--reads", type=int, default=400)
-    p_audit.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
-        help="audit determinism of a faulted run",
-    )
-    _add_write_flags(p_audit)
-    p_audit.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="audit the prefetch and baseline cells in parallel "
-        "(audits never use the run cache)",
-    )
+    # Audits never use the run cache.
+    _add_perf_flags(p_audit, cache=False)
     p_audit.add_argument(
         "--obs", action="store_true",
         help="attach the observability recorder to every audited run; "
@@ -1135,36 +1030,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="entrants: 'none' (no prefetching) or any registered "
         "policy (default: none oracle adaptive)",
     )
-    p_tour.add_argument("--compute", type=float, default=30.0,
-                        help="mean per-block compute time (ms)")
-    p_tour.add_argument("--seed", type=int, default=1)
-    p_tour.add_argument("--nodes", type=int, default=20)
-    p_tour.add_argument("--disks", type=int, default=20)
-    p_tour.add_argument("--file-blocks", type=int, default=2000)
-    p_tour.add_argument("--reads", type=int, default=None,
-                        help="total reads (default: the paper's 2000)")
+    add_config_flags(p_tour, ("compute_mean", "seed", *sizing, "faults"))
     p_tour.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
-        help="race every entrant under this fault plan",
-    )
-    p_tour.add_argument(
-        "--fault-plans", nargs="+", default=None, metavar="PLAN",
+        "--fault-plans", nargs="+", type=_plan_axis_arg, default=None,
+        metavar="PLAN",
         help="third matrix axis: each entry is 'none' (healthy) or a "
         "fault-plan JSON path; every (pattern, sync) cell is raced once "
         "per plan and faulted cells report degraded-mode measures plus "
         "a resilience score against their healthy counterpart "
         "(supersedes --faults)",
     )
-    p_tour.add_argument("--csv", default=None, metavar="FILE",
-                        help="also write the league table as CSV")
-    p_tour.add_argument(
-        "--digest-out", default=None, metavar="FILE",
-        help="write the tournament digest (for a later --check-digest)",
-    )
-    p_tour.add_argument(
-        "--check-digest", default=None, metavar="FILE",
-        help="compare against a saved digest; exit 1 on mismatch",
-    )
+    _add_output_flags(p_tour, "tournament")
     _add_perf_flags(p_tour)
     p_tour.set_defaults(func=_cmd_tournament)
 
@@ -1179,7 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plans to generate from the seed (default 5); each "
         "plan overlaps 2-3 faults of at least two distinct kinds",
     )
-    p_soak.add_argument("--seed", type=int, default=1)
     p_soak.add_argument(
         "--pattern", choices=PATTERN_NAMES, default="lw",
         help="access pattern of every soak cell (default lw)",
@@ -1193,26 +1068,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="entrant to soak: 'none' (no prefetching) or any "
         "registered policy (default adaptive)",
     )
-    p_soak.add_argument("--compute", type=float, default=30.0,
-                        help="mean per-block compute time (ms)")
-    p_soak.add_argument("--nodes", type=int, default=8)
-    p_soak.add_argument("--disks", type=int, default=8)
-    p_soak.add_argument("--file-blocks", type=int, default=640)
-    p_soak.add_argument("--reads", type=int, default=640)
+    add_config_flags(
+        p_soak,
+        ("compute_mean", "seed", *sizing),
+        n_nodes=8,
+        n_disks=8,
+        file_blocks=640,
+        total_reads=640,
+        record_trace=False,
+    )
     p_soak.add_argument(
         "--save-plans", default=None, metavar="DIR",
         help="also write every generated plan as JSON into DIR",
     )
-    p_soak.add_argument("--csv", default=None, metavar="FILE",
-                        help="also write the soak table as CSV")
-    p_soak.add_argument(
-        "--digest-out", default=None, metavar="FILE",
-        help="write the soak digest (for a later --check-digest)",
-    )
-    p_soak.add_argument(
-        "--check-digest", default=None, metavar="FILE",
-        help="compare against a saved digest; exit 1 on mismatch",
-    )
+    _add_output_flags(p_soak, "soak")
     p_soak.set_defaults(func=_cmd_soak)
 
     p_suite = sub.add_parser("suite", help="run the full paper mix")
@@ -1236,10 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("param", help="field to sweep, e.g. lead")
     p_sweep.add_argument("values", nargs="+", help="values to try")
-    p_sweep.add_argument("--pattern", choices=PATTERN_NAMES, default="gw")
-    p_sweep.add_argument("--sync", choices=SYNC_STYLES, default="per-proc")
-    p_sweep.add_argument("--compute", type=float, default=30.0)
-    p_sweep.add_argument("--seed", type=int, default=1)
+    add_config_flags(p_sweep, cell, sync_style="per-proc")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_rep = sub.add_parser(
@@ -1268,49 +1134,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rec.add_argument("-o", "--output", required=True,
                        help="trace file to write (JSON lines)")
-    p_rec.add_argument("--pattern", choices=ALL_PATTERN_NAMES, default="gw")
-    p_rec.add_argument("--sync", choices=SYNC_STYLES, default="none")
-    p_rec.add_argument("--compute", type=float, default=30.0)
-    p_rec.add_argument("--seed", type=int, default=1)
-    p_rec.add_argument(
-        "--no-prefetch", action="store_true",
-        help="record from the no-prefetch baseline (the usual choice: "
-        "the workload timeline is then policy-independent)",
-    )
-    p_rec.add_argument("--nodes", type=int, default=20)
-    p_rec.add_argument("--disks", type=int, default=20)
-    p_rec.add_argument("--file-blocks", type=int, default=2000)
-    p_rec.add_argument("--reads", type=int, default=None,
-                       help="total reads (default: the paper's 2000)")
-    p_rec.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
-        help="record under a fault plan (digest lands in the trace "
-        "header as provenance)",
-    )
+    # --no-prefetch records from the baseline, the usual choice: the
+    # workload timeline is then policy-independent.  A --faults digest
+    # lands in the trace header as provenance.
+    add_config_flags(p_rec, (*cell, "prefetch", *sizing, "faults"))
     p_rec.set_defaults(func=_cmd_trace_record)
 
     p_repl = trace_sub.add_parser(
         "replay",
         help="replay a trace through the full simulator "
         "(paired prefetch on/off comparison)",
+        description="Replay a trace through the full simulator as a "
+        "paired prefetch on/off comparison.  The machine has one disk "
+        "per traced node unless --disks says otherwise.",
     )
     p_repl.add_argument("trace", help="replay trace file")
-    p_repl.add_argument("--policy", default="oracle",
-                        choices=list(policy_choices()))
-    p_repl.add_argument("--lead", type=int, default=0)
-    p_repl.add_argument(
-        "--disks", type=int, default=None,
-        help="disk count for the replay machine "
-        "(default: one per traced node)",
+    add_config_flags(
+        p_repl, ("policy", "lead", "n_disks", "faults"), n_disks=None
     )
     p_repl.add_argument(
         "--audit", action="store_true",
         help="replay twice under the determinism auditor and diff "
         "event-trace hashes (exit 1 on divergence)",
-    )
-    p_repl.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
-        help="replay under a fault plan (degraded-mode what-if)",
     )
     p_repl.set_defaults(func=_cmd_trace_replay)
 
@@ -1357,27 +1202,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("trace", help="replay trace file")
     p_stats.set_defaults(func=_cmd_trace_stats)
 
-    def add_obs_cell_flags(p: argparse.ArgumentParser) -> None:
+    def add_obs_cell_flags(p: argparse.ArgumentParser, *extra: str) -> None:
         """The experiment-cell flags every ``obs`` verb shares.
 
         Defaults are the audit sizing (small machine, short run): obs
         verbs are exploratory tools, and a 4x4 cell already exhibits
         every span kind.
         """
-        p.add_argument("--pattern", choices=ALL_PATTERN_NAMES, default="gw")
-        p.add_argument("--sync", choices=SYNC_STYLES, default="per-proc")
-        p.add_argument("--compute", type=float, default=30.0)
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--policy", default="oracle",
-                       choices=list(policy_choices()))
-        p.add_argument("--lead", type=int, default=0)
-        p.add_argument("--nodes", type=int, default=4)
-        p.add_argument("--disks", type=int, default=4)
-        p.add_argument("--file-blocks", type=int, default=400)
-        p.add_argument("--reads", type=int, default=400)
-        p.add_argument(
-            "--faults", default=None, metavar="PLAN.json",
-            help="observe a faulted run",
+        add_config_flags(
+            p,
+            (*cell, "policy", "lead", *extra, *sizing, "faults"),
+            sync_style="per-proc",
+            **small,
         )
         p.add_argument(
             "--interval", type=float, default=50.0, metavar="MS",
@@ -1408,11 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="schema-check the Perfetto payload before writing "
         "(exit 1 and write nothing on violations)",
     )
-    p_oexp.add_argument(
-        "--no-prefetch", action="store_true",
-        help="observe the no-prefetch baseline instead",
-    )
-    add_obs_cell_flags(p_oexp)
+    add_obs_cell_flags(p_oexp, "prefetch")
     p_oexp.set_defaults(func=_cmd_obs_export)
 
     p_otl = obs_sub.add_parser(
@@ -1424,11 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv", default=None, metavar="FILE",
         help="also write the metric timelines as CSV",
     )
-    p_otl.add_argument(
-        "--no-prefetch", action="store_true",
-        help="observe the no-prefetch baseline instead",
-    )
-    add_obs_cell_flags(p_otl)
+    add_obs_cell_flags(p_otl, "prefetch")
     p_otl.set_defaults(func=_cmd_obs_timeline)
 
     p_oattr = obs_sub.add_parser(
@@ -1504,9 +1332,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

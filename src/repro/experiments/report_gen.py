@@ -10,12 +10,17 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from .ablations import (
     ablation_file_layout,
     ablation_numa_layout,
     ablation_replacement,
+)
+from .chaos import (
+    chaos_fail_stop,
+    chaos_prefetch_under_faults,
+    chaos_writeback_fail_slow,
 )
 from .figures import (
     FigureData,
@@ -47,15 +52,76 @@ from .findings import (
 )
 from .suite import run_suite
 
-__all__ = ["generate_report", "collect_all_figures"]
+__all__ = [
+    "generate_report",
+    "collect_all_figures",
+    "SUITE_FIGURES",
+    "LEAD_FIGURES",
+    "STANDALONE_FIGURES",
+    "CHAOS_FIGURES",
+    "FIGURE_IDS",
+]
+
+# The figure registry: id -> generator, by what the generator takes.
+# REPORT.md carries the first three registries in this order.
+
+#: Figures drawn from the paired 46-cell suite.
+SUITE_FIGURES: Dict[str, Callable[..., FigureData]] = {
+    "fig3": fig3_read_time,
+    "fig4": fig4_hit_ratio,
+    "fig5": fig5_ready_unready,
+    "fig6": fig6_hitwait_vs_readtime,
+    "fig7": fig7_disk_response,
+    "fig8": fig8_total_time,
+    "fig9": fig9_sync_time,
+    "fig10": fig10_reductions,
+    "fig11": fig11_hitratio_vs_reduction,
+    "vf-patterns": vf_pattern_breakdown,
+}
+
+#: Figures drawn from the minimum-prefetch-lead sweep.
+LEAD_FIGURES: Dict[str, Callable[..., FigureData]] = {
+    "fig13": fig13_lead_hitwait,
+    "fig14": fig14_lead_missratio,
+    "fig15": fig15_lead_readtime,
+    "fig16": fig16_lead_totaltime,
+}
+
+#: Figures that run their own sweep from the seed.
+STANDALONE_FIGURES: Dict[str, Callable[..., FigureData]] = {
+    "fig1": fig1_uneven_benefit,
+    "fig12": fig12_compute_sweep,
+    "vd": vd_min_prefetch_time,
+    "vf-buffers": vf_buffer_count,
+    "ext-predictors": ext_predictor_comparison,
+    "ext-scalability": ext_scalability,
+    "ext-hybrid": ext_hybrid_patterns,
+    "ext-disk": ext_disk_sensitivity,
+    "abl-numa": ablation_numa_layout,
+    "abl-replacement": ablation_replacement,
+    "abl-layout": ablation_file_layout,
+}
+
+#: Fault-injection scenarios, run from the seed like the standalone
+#: figures; ``rapid-transit figure`` runs them, REPORT.md does not.
+CHAOS_FIGURES: Dict[str, Callable[..., FigureData]] = {
+    "chaos": chaos_prefetch_under_faults,
+    "chaos-failstop": chaos_fail_stop,
+    "chaos-writeback": chaos_writeback_fail_slow,
+}
+
+#: Every figure id ``rapid-transit figure`` accepts.
+FIGURE_IDS: List[str] = sorted(
+    {**SUITE_FIGURES, **LEAD_FIGURES, **STANDALONE_FIGURES, **CHAOS_FIGURES}
+)
 
 
 def collect_all_figures(
     seed: int = 1,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[FigureData]:
-    """Regenerate every figure and finding (tens of minutes of simulated
-    time, a few wall-clock minutes)."""
+    """Regenerate every REPORT.md figure, in registry order (tens of
+    minutes of simulated time, a few wall-clock minutes)."""
 
     def note(msg: str) -> None:
         if progress is not None:
@@ -63,44 +129,15 @@ def collect_all_figures(
 
     note("running the paired 46-cell suite (92 simulations)...")
     suite = run_suite(seed=seed)
-    figures: List[FigureData] = [
-        fig3_read_time(suite),
-        fig4_hit_ratio(suite),
-        fig5_ready_unready(suite),
-        fig6_hitwait_vs_readtime(suite),
-        fig7_disk_response(suite),
-        fig8_total_time(suite),
-        fig9_sync_time(suite),
-        fig10_reductions(suite),
-        fig11_hitratio_vs_reduction(suite),
-        vf_pattern_breakdown(suite),
-    ]
+    figures = [make(suite) for make in SUITE_FIGURES.values()]
 
     note("running the minimum-prefetch-lead sweep (Figs. 13-16)...")
     sweep = run_lead_sweep(seed=seed)
-    figures += [
-        fig13_lead_hitwait(sweep),
-        fig14_lead_missratio(sweep),
-        fig15_lead_readtime(sweep),
-        fig16_lead_totaltime(sweep),
-    ]
+    figures += [make(sweep) for make in LEAD_FIGURES.values()]
 
-    standalone = [
-        ("Fig. 1 pathology", fig1_uneven_benefit),
-        ("Fig. 12 compute sweep", fig12_compute_sweep),
-        ("Section V-D throttle", vd_min_prefetch_time),
-        ("Section V-F buffers", vf_buffer_count),
-        ("predictors extension", ext_predictor_comparison),
-        ("scalability extension", ext_scalability),
-        ("hybrid-pattern extension", ext_hybrid_patterns),
-        ("disk-sensitivity extension", ext_disk_sensitivity),
-        ("NUMA-layout ablation", ablation_numa_layout),
-        ("replacement ablation", ablation_replacement),
-        ("file-layout ablation", ablation_file_layout),
-    ]
-    for label, fn in standalone:
-        note(f"running {label}...")
-        figures.append(fn(seed=seed))
+    for fig_id, make in STANDALONE_FIGURES.items():
+        note(f"running {fig_id}...")
+        figures.append(make(seed=seed))
     return figures
 
 

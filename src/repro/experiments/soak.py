@@ -42,9 +42,8 @@ tournament smoke does.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, get_type_hints
 
 from ..faults.plan import (
     FailSlow,
@@ -59,9 +58,11 @@ from ..sim.rng import RandomStreams
 from ..workload.patterns import PATTERN_NAMES
 from ..workload.synchronization import SYNC_STYLES
 from .config import ExperimentConfig
+from .runner import RunResult
 
 __all__ = [
     "SOAK_INVARIANTS",
+    "SOAK_MEASURES",
     "SoakSpec",
     "SoakCell",
     "SoakReport",
@@ -76,6 +77,20 @@ SOAK_INVARIANTS: Tuple[str, ...] = (
     "no_failed_read",
     "breaker_closes",
     "deterministic",
+)
+
+#: The degraded-mode measures every soak cell reports, in display order:
+#: (table heading, RunResult attribute).  The attribute also names the
+#: CSV column and the digest key.
+SOAK_MEASURES: Tuple[Tuple[str, str], ...] = (
+    ("total (ms)", "total_time"),
+    ("errors", "disk_errors"),
+    ("retries", "disk_retries"),
+    ("timeouts", "disk_timeouts"),
+    ("opens", "breaker_opens"),
+    ("fail-slow", "failslow_detections"),
+    ("write-offs", "prefetch_write_offs"),
+    ("degraded (ms)", "time_degraded"),
 )
 
 #: Fault kinds the plan generator draws from.
@@ -259,6 +274,15 @@ class SoakCell:
     def failed_invariants(self) -> List[str]:
         return [k for k in SOAK_INVARIANTS if not self.invariants[k]]
 
+    def measure_values(self) -> List[Any]:
+        """The :data:`SOAK_MEASURES` values in order; a crashed cell has
+        none, and reads each as the zero of its RunResult type."""
+        types = get_type_hints(RunResult)
+        return [
+            self.measures.get(attr, types[attr]())
+            for _, attr in SOAK_MEASURES
+        ]
+
 
 @dataclass
 class SoakReport:
@@ -280,41 +304,24 @@ class SoakReport:
         ]
 
     def render(self) -> str:
-        rows = []
-        for cell in self.cells:
-            kinds = ",".join(s.kind for s in cell.plan.faults)
-            m = cell.measures
-            rows.append(
-                (
-                    cell.index,
-                    cell.plan.digest,
-                    kinds,
-                    m.get("total_time", 0.0),
-                    int(m.get("disk_errors", 0)),
-                    int(m.get("disk_retries", 0)),
-                    int(m.get("disk_timeouts", 0)),
-                    int(m.get("breaker_opens", 0)),
-                    int(m.get("failslow_detections", 0)),
-                    int(m.get("prefetch_write_offs", 0)),
-                    m.get("time_degraded", 0.0),
-                    "ok"
-                    if cell.passed
-                    else "FAIL:" + "+".join(cell.failed_invariants()),
-                )
+        rows = [
+            (
+                cell.index,
+                cell.plan.digest,
+                ",".join(s.kind for s in cell.plan.faults),
+                *cell.measure_values(),
+                "ok"
+                if cell.passed
+                else "FAIL:" + "+".join(cell.failed_invariants()),
             )
+            for cell in self.cells
+        ]
         return render_table(
             (
                 "plan",
                 "digest",
                 "faults",
-                "total (ms)",
-                "errors",
-                "retries",
-                "timeouts",
-                "opens",
-                "fail-slow",
-                "write-offs",
-                "degraded (ms)",
+                *(heading for heading, _ in SOAK_MEASURES),
                 "invariants",
             ),
             rows,
@@ -326,52 +333,31 @@ class SoakReport:
         )
 
     def to_csv(self) -> str:
-        out = io.StringIO()
         columns = (
             "plan",
             "plan_digest",
             "faults",
             *SOAK_INVARIANTS,
-            "total_time",
-            "disk_errors",
-            "disk_retries",
-            "disk_timeouts",
-            "breaker_opens",
-            "failslow_detections",
-            "prefetch_write_offs",
-            "time_degraded",
+            *(attr for _, attr in SOAK_MEASURES),
             "trace_digest",
             "fault_digest",
         )
-        out.write(",".join(columns) + "\n")
-        for cell in self.cells:
-            m = cell.measures
-            out.write(
-                ",".join(
-                    str(v)
-                    for v in (
-                        cell.index,
-                        cell.plan.digest,
-                        ";".join(s.kind for s in cell.plan.faults),
-                        *(
-                            int(cell.invariants[name])
-                            for name in SOAK_INVARIANTS
-                        ),
-                        m.get("total_time", 0.0),
-                        int(m.get("disk_errors", 0)),
-                        int(m.get("disk_retries", 0)),
-                        int(m.get("disk_timeouts", 0)),
-                        int(m.get("breaker_opens", 0)),
-                        int(m.get("failslow_detections", 0)),
-                        int(m.get("prefetch_write_offs", 0)),
-                        m.get("time_degraded", 0.0),
-                        cell.trace_digest,
-                        cell.fault_digest,
-                    )
+        lines = [",".join(columns)] + [
+            ",".join(
+                str(v)
+                for v in (
+                    cell.index,
+                    cell.plan.digest,
+                    ";".join(s.kind for s in cell.plan.faults),
+                    *(int(cell.invariants[n]) for n in SOAK_INVARIANTS),
+                    *cell.measure_values(),
+                    cell.trace_digest,
+                    cell.fault_digest,
                 )
-                + "\n"
             )
-        return out.getvalue()
+            for cell in self.cells
+        ]
+        return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         """Hex digest over every cell's verdicts and measures, in order.
@@ -479,14 +465,7 @@ def run_soak(
                 plan=plan,
                 invariants=invariants,
                 measures={
-                    "total_time": result.total_time,
-                    "disk_errors": result.disk_errors,
-                    "disk_retries": result.disk_retries,
-                    "disk_timeouts": result.disk_timeouts,
-                    "breaker_opens": result.breaker_opens,
-                    "failslow_detections": result.failslow_detections,
-                    "prefetch_write_offs": result.prefetch_write_offs,
-                    "time_degraded": result.time_degraded,
+                    attr: getattr(result, attr) for _, attr in SOAK_MEASURES
                 },
                 trace_digest=report.first.trace_digest,
                 fault_digest=result.fault_digest,

@@ -36,12 +36,12 @@ CI smoke's determinism gate.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..faults.plan import FaultPlan
-from ..metrics.report import LEAGUE_COLUMNS, league_row, render_table
+from ..metrics.report import render_table
 from ..workload.patterns import ALL_PATTERN_NAMES, PATTERN_NAMES
 from ..workload.synchronization import SYNC_STYLES
 from .config import ExperimentConfig
@@ -49,6 +49,9 @@ from .runner import RunResult
 
 __all__ = [
     "NO_PREFETCH",
+    "MEASURES",
+    "CSV_COLUMNS",
+    "LEAGUE_COLUMNS",
     "TournamentSpec",
     "TournamentCell",
     "TournamentResult",
@@ -59,32 +62,97 @@ __all__ = [
 #: The baseline entrant: a paired run with prefetching disabled.
 NO_PREFETCH = "none"
 
+#: Reads one measure of a cell: (tournament, cell) -> value.
+Getter = Callable[["TournamentResult", "TournamentCell"], Any]
+
+
+def _cell(attr: str) -> Getter:
+    get = attrgetter(attr)
+    return lambda tournament, cell: get(cell)
+
+
+def _run(attr: str) -> Getter:
+    get = attrgetter(attr)
+    return lambda tournament, cell: get(cell.result)
+
+
+def _distance(end: str) -> Getter:
+    return lambda tournament, cell: (
+        cell.result.adaptive_distance_summary.get(end)
+    )
+
+
+#: Everything a tournament reports per cell, each measure once:
+#: (CSV column, digest key, getter).  :meth:`TournamentResult.to_csv`
+#: writes the measures with a column, in this order;
+#: :meth:`TournamentResult.digest` hashes the ones with a key.
+MEASURES: Tuple[Tuple[Optional[str], Optional[str], Getter], ...] = (
+    ("pattern", "pattern", _cell("pattern")),
+    ("sync", "sync", _cell("sync_style")),
+    ("faults", "plan", _cell("plan")),
+    ("policy", "policy", _cell("policy")),
+    ("winner", "winner", _cell("winner")),
+    ("total_time", "total_time", _run("total_time")),
+    ("read_p50", "read_p50", _run("read_p50")),
+    ("read_p99", "read_p99", _run("read_p99")),
+    ("hit_ratio", "hit_ratio", _run("hit_ratio")),
+    ("blocks_prefetched", "blocks_prefetched", _run("blocks_prefetched")),
+    ("unused_evicted", "unused_evicted", _run("prefetch_unused_evicted")),
+    ("unused_at_end", "unused_at_end", _run("prefetch_unused_at_end")),
+    ("unused_rate", None, _run("unused_prefetch_rate")),
+    ("distance_initial", None, _distance("initial")),
+    ("distance_final", None, _distance("final")),
+    (None, "trajectory", _run("adaptive_distance_trajectory")),
+    ("disk_errors", "disk_errors", _run("disk_errors")),
+    ("retries", "retries", _run("disk_retries")),
+    ("timeouts", "timeouts", _run("disk_timeouts")),
+    ("breaker_opens", "breaker_opens", _run("breaker_opens")),
+    ("failslow_detections", "failslow", _run("failslow_detections")),
+    ("prefetch_write_offs", "write_offs", _run("prefetch_write_offs")),
+    ("time_degraded", "time_degraded", _run("time_degraded")),
+    (None, "fault_digest", _run("fault_digest")),
+    (
+        "resilience_score",
+        None,
+        lambda tournament, cell: tournament.resilience_score(cell),
+    ),
+)
+
 #: CSV columns of :meth:`TournamentResult.to_csv`.
-CSV_COLUMNS = (
+CSV_COLUMNS: Tuple[str, ...] = tuple(
+    column for column, _, _ in MEASURES if column is not None
+)
+
+#: Column headings of the league table (:meth:`TournamentResult.render`):
+#: one row per (pattern, sync, faults, policy) cell, winners marked in
+#: the last column.  ``e/r/t`` packs the degraded-mode error/retry/timeout
+#: counts; ``resilience`` is the healthy-to-faulted elapsed-time ratio of
+#: the same entrant (1.0 = the faults cost nothing, smaller = slower
+#: under chaos; "-" for healthy cells and for matrices without a healthy
+#: counterpart).
+LEAGUE_COLUMNS: Tuple[str, ...] = (
     "pattern",
     "sync",
     "faults",
     "policy",
-    "winner",
-    "total_time",
-    "read_p50",
-    "read_p99",
-    "hit_ratio",
-    "blocks_prefetched",
-    "unused_evicted",
-    "unused_at_end",
-    "unused_rate",
-    "distance_initial",
-    "distance_final",
-    "disk_errors",
-    "retries",
-    "timeouts",
-    "breaker_opens",
-    "failslow_detections",
-    "prefetch_write_offs",
-    "time_degraded",
-    "resilience_score",
+    "total time (ms)",
+    "read p50 (ms)",
+    "read p99 (ms)",
+    "hit ratio",
+    "unused rate",
+    "distance",
+    "e/r/t",
+    "degraded (ms)",
+    "resilience",
+    "win",
 )
+
+
+def _csv_value(value: Any) -> str:
+    """One CSV field: a bool as 1/0, a missing value as empty."""
+    if value is None:
+        return ""
+    return str(int(value) if isinstance(value, bool) else value)
 
 
 def plan_name(plan: Optional[FaultPlan]) -> str:
@@ -262,26 +330,42 @@ class TournamentResult:
                 won += 1
         return won, total
 
-    def league_rows(self) -> List[Tuple]:
-        return [
-            league_row(
-                cell.pattern,
-                cell.sync_style,
-                cell.policy,
-                cell.result,
-                cell.winner,
-                plan_name=cell.plan,
-                resilience_score=self.resilience_score(cell),
-            )
-            for cell in self.cells
-        ]
+    def league_row(self, cell: TournamentCell) -> Tuple:
+        """One league-table row for :data:`LEAGUE_COLUMNS`."""
+        result = cell.result
+        summary = result.adaptive_distance_summary
+        if summary:
+            distance = f"{summary['initial']:.0f}->{summary['final']:.1f}"
+        else:
+            distance = "-"
+        healthy = cell.plan == "none"
+        score = self.resilience_score(cell)
+        return (
+            cell.pattern,
+            cell.sync_style,
+            cell.plan,
+            cell.policy,
+            result.total_time,
+            result.read_p50,
+            result.read_p99,
+            result.hit_ratio,
+            result.unused_prefetch_rate,
+            distance,
+            "-" if healthy else (
+                f"{result.disk_errors}/{result.disk_retries}"
+                f"/{result.disk_timeouts}"
+            ),
+            "-" if healthy else result.time_degraded,
+            "-" if score is None else score,
+            "*" if cell.winner else "",
+        )
 
     def render(self) -> str:
         """The ASCII league table."""
         n_cells = len(self.groups())
         return render_table(
             LEAGUE_COLUMNS,
-            self.league_rows(),
+            [self.league_row(cell) for cell in self.cells],
             title=(
                 f"policy tournament: {n_cells} cells x "
                 f"{len(self.spec.policies)} entrants "
@@ -291,44 +375,12 @@ class TournamentResult:
 
     def to_csv(self) -> str:
         """The league table as CSV (:data:`CSV_COLUMNS`)."""
-        out = io.StringIO()
-        out.write(",".join(CSV_COLUMNS) + "\n")
-        for cell in self.cells:
-            r = cell.result
-            summary = r.adaptive_distance_summary
-            score = self.resilience_score(cell)
-            out.write(
-                ",".join(
-                    str(v)
-                    for v in (
-                        cell.pattern,
-                        cell.sync_style,
-                        cell.plan,
-                        cell.policy,
-                        int(cell.winner),
-                        r.total_time,
-                        r.read_p50,
-                        r.read_p99,
-                        r.hit_ratio,
-                        r.blocks_prefetched,
-                        r.prefetch_unused_evicted,
-                        r.prefetch_unused_at_end,
-                        r.unused_prefetch_rate,
-                        summary.get("initial", ""),
-                        summary.get("final", ""),
-                        r.disk_errors,
-                        r.disk_retries,
-                        r.disk_timeouts,
-                        r.breaker_opens,
-                        r.failslow_detections,
-                        r.prefetch_write_offs,
-                        r.time_degraded,
-                        score if score is not None else "",
-                    )
-                )
-                + "\n"
-            )
-        return out.getvalue()
+        getters = [get for column, _, get in MEASURES if column is not None]
+        lines = [",".join(CSV_COLUMNS)] + [
+            ",".join(_csv_value(get(self, cell)) for get in getters)
+            for cell in self.cells
+        ]
+        return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
         """Hex digest over every cell's reported numbers, in order.
@@ -344,27 +396,9 @@ class TournamentResult:
         payload = canonical_json(
             [
                 {
-                    "pattern": cell.pattern,
-                    "sync": cell.sync_style,
-                    "plan": cell.plan,
-                    "policy": cell.policy,
-                    "winner": cell.winner,
-                    "total_time": cell.result.total_time,
-                    "read_p50": cell.result.read_p50,
-                    "read_p99": cell.result.read_p99,
-                    "hit_ratio": cell.result.hit_ratio,
-                    "blocks_prefetched": cell.result.blocks_prefetched,
-                    "unused_evicted": cell.result.prefetch_unused_evicted,
-                    "unused_at_end": cell.result.prefetch_unused_at_end,
-                    "trajectory": cell.result.adaptive_distance_trajectory,
-                    "disk_errors": cell.result.disk_errors,
-                    "retries": cell.result.disk_retries,
-                    "timeouts": cell.result.disk_timeouts,
-                    "breaker_opens": cell.result.breaker_opens,
-                    "failslow": cell.result.failslow_detections,
-                    "write_offs": cell.result.prefetch_write_offs,
-                    "time_degraded": cell.result.time_degraded,
-                    "fault_digest": cell.result.fault_digest,
+                    key: get(self, cell)
+                    for _, key, get in MEASURES
+                    if key is not None
                 }
                 for cell in self.cells
             ]

@@ -333,12 +333,15 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
+        """The plan saved at ``path``; a :class:`FaultPlanError` names
+        the file."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
-                data = json.load(fh)
+                return cls.from_dict(json.load(fh))
             except json.JSONDecodeError as exc:
                 raise FaultPlanError(f"{path}: not valid JSON: {exc}") from None
-        return cls.from_dict(data)
+            except FaultPlanError as exc:
+                raise FaultPlanError(f"{path}: {exc}") from None
 
     def describe(self) -> List[str]:
         """Human-readable one-liners, one per spec."""

@@ -18,8 +18,6 @@ __all__ = [
     "WRITE_MEASURES",
     "FAULT_MEASURES",
     "ATTRIBUTION_COLUMNS",
-    "LEAGUE_COLUMNS",
-    "league_row",
     "paired_measure_rows",
     "write_measure_rows",
     "fault_measure_rows",
@@ -87,71 +85,6 @@ FAULT_MEASURES: Tuple[Tuple[str, str], ...] = (
     ("prefetch write-offs", "prefetch_write_offs"),
     ("time degraded (ms)", "time_degraded"),
 )
-
-
-#: Column headings of the policy-tournament league table
-#: (``rapid-transit tournament``): one row per (pattern, sync, faults,
-#: policy) cell, winners marked in the last column.  ``e/r/t`` packs the
-#: degraded-mode error/retry/timeout counts; ``resilience`` is the
-#: healthy-to-faulted elapsed-time ratio of the same entrant (1.0 = the
-#: faults cost nothing, smaller = slower under chaos; "-" for healthy
-#: cells and for matrices without a healthy counterpart).
-LEAGUE_COLUMNS: Tuple[str, ...] = (
-    "pattern",
-    "sync",
-    "faults",
-    "policy",
-    "total time (ms)",
-    "read p50 (ms)",
-    "read p99 (ms)",
-    "hit ratio",
-    "unused rate",
-    "distance",
-    "e/r/t",
-    "degraded (ms)",
-    "resilience",
-    "win",
-)
-
-
-def league_row(
-    pattern: str,
-    sync_style: str,
-    policy: str,
-    result: "RunResult",
-    winner: bool,
-    plan_name: str = "none",
-    resilience_score: Optional[float] = None,
-) -> Tuple:
-    """One league-table row for :data:`LEAGUE_COLUMNS`."""
-    summary = result.adaptive_distance_summary
-    if summary:
-        distance = f"{summary['initial']:.0f}->{summary['final']:.1f}"
-    else:
-        distance = "-"
-    if plan_name == "none":
-        fault_counts = "-"
-    else:
-        fault_counts = (
-            f"{result.disk_errors}/{result.disk_retries}"
-            f"/{result.disk_timeouts}"
-        )
-    return (
-        pattern,
-        sync_style,
-        plan_name,
-        policy,
-        result.total_time,
-        result.read_p50,
-        result.read_p99,
-        result.hit_ratio,
-        result.unused_prefetch_rate,
-        distance,
-        fault_counts,
-        result.time_degraded if plan_name != "none" else "-",
-        resilience_score if resilience_score is not None else "-",
-        "*" if winner else "",
-    )
 
 
 #: Column headings of the per-node bottleneck-attribution table
