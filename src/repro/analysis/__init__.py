@@ -15,8 +15,9 @@ Four pillars:
   baseline (:mod:`repro.analysis.baseline`), and an incremental
   content-addressed result cache (:mod:`repro.analysis.lintcache`).
 * :mod:`repro.analysis.audit` — a runtime auditor: event-trace hashing on
-  ``Environment.step`` (``run_twice_and_diff`` proves seed-stability),
-  a simultaneous-event race detector, and periodic invariant sweeps.
+  every event ``Environment.run`` pops (``run_twice_and_diff`` proves
+  seed-stability), a simultaneous-event race detector, and periodic
+  invariant sweeps.
 * :mod:`repro.analysis.invariants` — :class:`InvariantViolation` and
   :func:`invariant`, the promoted invariant layer that survives
   ``python -O``.

@@ -124,6 +124,16 @@ def _checked(build: Callable[..., T], **kwargs: Any) -> T:
         raise _InputError(exc) from None
 
 
+def _read(load: Callable[[str], T], path: str) -> T:
+    """``load(path)`` for a verb that reads a file without building a
+    config: a missing or malformed file is an input error naming it."""
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        text = str(exc)
+        raise _InputError(text if path in text else f"{path}: {text}") from None
+
+
 def _plan_arg(path: str) -> FaultPlan:
     """argparse ``type`` of ``--faults``: load the plan when the flags are
     parsed, so a missing or malformed file is a usage error naming it."""
@@ -603,7 +613,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     from .fs.trace import Trace
 
-    trace = Trace.load(args.trace)
+    trace = _read(Trace.load, args.trace)
     print(f"{len(trace)} accesses; outcomes {trace.outcome_counts()}")
     seq = sequentiality(trace)
     print(
@@ -649,7 +659,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     from .traces import ReplayTrace, replay_config, replay_pair
     from .traces import replay_twice_and_diff
 
-    trace = ReplayTrace.load(args.trace)
+    trace = _read(ReplayTrace.load, args.trace)
     n_disks = args.n_disks if args.n_disks is not None else trace.meta.n_nodes
     config = replay_config(trace, config_from_args(args, n_disks=n_disks))
     faults = config.faults
@@ -737,7 +747,7 @@ def _cmd_trace_import(args: argparse.Namespace) -> int:
 def _cmd_trace_stats(args: argparse.Namespace) -> int:
     from .traces import ReplayTrace
 
-    trace = ReplayTrace.load(args.trace)
+    trace = _read(ReplayTrace.load, args.trace)
     meta = trace.meta
     stats = trace.stats()
     print(
@@ -938,7 +948,7 @@ def _cmd_faults_make(args: argparse.Namespace) -> int:
 
 
 def _cmd_faults_show(args: argparse.Namespace) -> int:
-    plan = FaultPlan.load(args.plan)
+    plan = _read(FaultPlan.load, args.plan)
     name = f" '{plan.name}'" if plan.name else ""
     print(f"fault plan{name}: {len(plan.faults)} faults")
     for line in plan.describe():

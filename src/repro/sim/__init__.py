@@ -19,7 +19,7 @@ A from-scratch, generator-driven simulator (no external dependency) with:
 Simulation time is a float in **milliseconds** throughout the project.
 """
 
-from .core import EmptySchedule, Environment, StopSimulation
+from .core import Environment, StopSimulation
 from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Timeout
 from .monitor import Tally, TimeWeighted
 from .process import Interrupt, Process
@@ -29,7 +29,6 @@ from .sync import Barrier, Gate
 
 __all__ = [
     "Environment",
-    "EmptySchedule",
     "StopSimulation",
     "Event",
     "Timeout",

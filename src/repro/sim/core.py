@@ -24,7 +24,6 @@ from .process import Process, ProcessGenerator
 
 __all__ = [
     "Environment",
-    "EmptySchedule",
     "StopSimulation",
     "StepObserver",
 ]
@@ -34,15 +33,11 @@ __all__ = [
 EventKey = Tuple[float, int, int, Event]
 
 #: Signature of a step observer: ``(time, priority, sequence, event)``,
-#: called for every event popped by :meth:`Environment.step` *before* its
+#: called for every event popped by :meth:`Environment.run` *before* its
 #: callbacks run.  Observers must be read-only with respect to simulation
 #: state — they exist for auditing (trace hashing, race detection), and
 #: mutating state from one would itself be a source of nondeterminism.
 StepObserver = Callable[[float, int, int, Event], None]
-
-
-class EmptySchedule(Exception):
-    """Raised by :meth:`Environment.step` when no events remain."""
 
 
 class StopSimulation(Exception):
@@ -66,7 +61,7 @@ class Environment:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_eid",
         "_active_proc",
@@ -77,10 +72,12 @@ class Environment:
     )
 
     def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
+        #: Current simulation time in milliseconds.  A plain slot, read
+        #: on every hot path; only the run loop writes it.
+        self.now = float(initial_time)
         self._queue: List[EventKey] = []
         # The C heap primitives bound to the queue once, so scheduling
-        # and stepping pay no Python-level wrapper frame per event.
+        # and the run loop pay no Python-level wrapper frame per event.
         self._push: Callable[[EventKey], None] = partial(heappush, self._queue)
         self._pop: Callable[[], EventKey] = partial(heappop, self._queue)
         self._eid = 0
@@ -89,11 +86,6 @@ class Environment:
         self._probes: Dict[str, List[Callable[..., None]]] = {}
 
     # -- introspection --------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in milliseconds."""
-        return self._now
 
     @property
     def event_count(self) -> int:
@@ -170,44 +162,15 @@ class Environment:
 
     # -- scheduling -----------------------------------------------------------
 
-    def schedule(
-        self, event: Event, priority: int = NORMAL, delay: float = 0.0
-    ) -> None:
-        """Enqueue ``event`` to be processed after ``delay`` ms."""
-        self._eid += 1
-        self._push((self._now + delay, priority, self._eid, event))
+    def schedule(self, event: Event, priority: int = NORMAL) -> None:
+        """Enqueue ``event`` to be processed at the current time.
 
-    def step(self) -> None:
-        """Process the single next event.
-
-        Raises
-        ------
-        EmptySchedule
-            If the queue is empty.
+        :meth:`Event.succeed`, :class:`Timeout` and a request granted on
+        the spot push their entries themselves; this is the path of the
+        rarer callers.
         """
-        try:
-            self._now, priority, sequence, event = self._pop()
-        except IndexError:
-            raise EmptySchedule() from None
-
-        observers = self._step_observers
-        if observers:
-            now = self._now
-            for observer in observers:
-                observer(now, priority, sequence, event)
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:
-            raise InvariantViolation(f"{event!r} processed twice")
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # A failure that nothing handled: crash the simulation loudly.
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise RuntimeError(repr(exc))  # pragma: no cover - defensive
+        self._eid += 1
+        self._push((self.now, priority, self._eid, event))
 
     def run(self, until: Union[None, float, int, Event] = None) -> Any:
         """Run the simulation.
@@ -224,11 +187,11 @@ class Environment:
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
-            if at <= self._now:
+            if at <= self.now:
                 raise ValueError(
-                    f"until={at} must lie in the future (now={self._now})"
+                    f"until={at} must lie in the future (now={self.now})"
                 )
-            until = Timeout(self, at - self._now)
+            until = Timeout(self, at - self.now)
             # Bare timeouts are always "ok"; hitting it ends the run with
             # value None.
             until._value = None
@@ -242,17 +205,41 @@ class Environment:
             until.callbacks.append(StopSimulation.callback)
 
         # The run loop is the hottest code in the system: every simulated
-        # event passes through it.  Hoisting the bound method avoids a
-        # per-event attribute lookup without changing behaviour.
-        step = self.step
+        # event passes through it, so it is written out inline with its
+        # lookups hoisted.
+        pop = self._pop
+        observers = self._step_observers
         try:
             while True:
-                step()
+                # Only the pop may end the run as "queue empty": an
+                # IndexError out of a callback is a model bug and must
+                # propagate.
+                try:
+                    now, priority, sequence, event = pop()
+                except IndexError:
+                    break
+                self.now = now
+                if observers:
+                    for observer in observers:
+                        observer(now, priority, sequence, event)
+
+                callbacks, event.callbacks = event.callbacks, None
+                if callbacks is None:
+                    raise InvariantViolation(f"{event!r} processed twice")
+                for callback in callbacks:
+                    callback(event)
+
+                if not event._ok and not event._defused:
+                    # A failure that nothing handled: crash the
+                    # simulation loudly.
+                    exc = event._value
+                    if isinstance(exc, BaseException):
+                        raise exc
+                    raise RuntimeError(repr(exc))  # pragma: no cover - defensive
         except StopSimulation as stop:
             return stop.args[0]
-        except EmptySchedule:
-            if until is not None and until._value is PENDING:
-                raise RuntimeError(
-                    f"no events scheduled but {until!r} never fired"
-                ) from None
-            return None
+        if until is not None and until._value is PENDING:
+            raise RuntimeError(
+                f"no events scheduled but {until!r} never fired"
+            )
+        return None

@@ -127,7 +127,11 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self, NORMAL)
+        # Pushed here, not through Environment.schedule: succeed is the
+        # most-called trigger, and the entry is the same either way.
+        env = self.env
+        env._eid += 1
+        env._push((env.now, NORMAL, env._eid, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -177,15 +181,17 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         # Timeouts are the single most-constructed event type (every
         # compute delay, disk service, and fixed-cost file-system op is
-        # one), so the base initializer is inlined: one attribute write
-        # per field, no super() dispatch, no redundant PENDING store.
+        # one), so the base initializer and the scheduling call are
+        # inlined: one attribute write per field, no super() dispatch, no
+        # redundant PENDING store, and the queue entry pushed directly.
         self.env = env
         self.callbacks = []
         self._ok = True
         self._value = value
         self._defused = False
         self.delay = delay
-        env.schedule(self, NORMAL, delay)
+        env._eid += 1
+        env._push((env.now + delay, NORMAL, env._eid, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timeout delay={self.delay} at {id(self):#x}>"

@@ -20,7 +20,7 @@ between actions.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from .events import NORMAL, PENDING, URGENT, Event
 
@@ -100,7 +100,7 @@ class Process(Event):
     with any exception that escapes the generator.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_resume")
 
     def __init__(
         self,
@@ -113,6 +113,12 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
+        #: The callback a waited-on event runs to resume the process,
+        #: bound once instead of on every wait.  It refers back to the
+        #: process, so it is deleted when the generator ends: a finished
+        #: process is freed by reference counting, not left for the
+        #: cyclic garbage collector.
+        self._resume: Callable[[Event], None] = self._advance
         #: The event this process currently waits on (``None`` while active).
         self._target: Optional[Event] = _Initialize(env, self)
 
@@ -135,14 +141,15 @@ class Process(Event):
 
     # -- scheduler interface --------------------------------------------------
 
-    def _resume(self, event: Event) -> None:
+    def _advance(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``."""
         env = self.env
         env._active_proc = self
+        send = self._generator.send
         while True:
             try:
                 if event._ok:
-                    next_event = self._generator.send(event._value)
+                    next_event = send(event._value)
                 else:
                     # The event's exception is being delivered here; the
                     # process is now responsible for it.
@@ -159,12 +166,14 @@ class Process(Event):
                 self._ok = True
                 self._value = stop.value
                 env.schedule(self, priority=NORMAL)
+                del self._resume
                 break
             except BaseException as exc:
                 # Generator crashed: the process event fails.
                 self._ok = False
                 self._value = exc
                 env.schedule(self, priority=NORMAL)
+                del self._resume
                 break
 
             if not isinstance(next_event, Event):
@@ -173,9 +182,10 @@ class Process(Event):
                 msg = f"process {self.name!r} yielded non-event {next_event!r}"
                 raise RuntimeError(msg)
 
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Event not yet processed: subscribe and suspend.
-                next_event.callbacks.append(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 break
 

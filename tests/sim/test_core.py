@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import Environment
 
 
 def test_clock_starts_at_zero():
@@ -54,12 +54,6 @@ def test_run_empty_returns_none():
     assert env.run() is None
 
 
-def test_step_empty_raises():
-    env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
-
-
 def test_peek_empty_is_inf():
     env = Environment()
     assert env.peek() == math.inf
@@ -70,9 +64,9 @@ def test_peek_returns_next_event_time():
     env.timeout(7.0)
     env.timeout(3.0)
     assert env.peek() == 3.0
-    env.step()  # pops the 3.0 timeout
+    env.run(until=5.0)  # pops the 3.0 timeout, stops at the 5.0 one
     assert env.peek() == 7.0
-    env.step()
+    env.run()
     assert env.peek() == math.inf
 
 
@@ -121,16 +115,22 @@ def test_run_until_never_fired_event_raises():
         env.run(until=ev)
 
 
-def test_unhandled_process_failure_crashes_run():
+@pytest.mark.parametrize("error", [ValueError, IndexError])
+def test_unhandled_process_failure_crashes_run(error):
+    # IndexError too: the run loop reads an IndexError from the heap pop
+    # as "queue empty", and one raised by the model must not end the run
+    # quietly.
     env = Environment()
 
     def boom():
         yield env.timeout(1.0)
-        raise ValueError("bang")
+        raise error("bang")
 
     env.process(boom())
-    with pytest.raises(ValueError, match="bang"):
+    env.timeout(2.0)
+    with pytest.raises(error, match="bang"):
         env.run()
+    assert env.now == 1.0
 
 
 def test_nested_process_spawning():

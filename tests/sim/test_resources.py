@@ -123,6 +123,34 @@ def test_resource_wait_statistics():
     assert res.busy_time == pytest.approx(20.0)
 
 
+def test_on_the_spot_grant_resumes_after_events_already_queued():
+    # B's t=1 timeout is queued before A's, and B's request for the free
+    # slot after both: the grant must not overtake A's timeout.
+    env = Environment()
+    res = Resource(env, capacity=1)
+    order = []
+    granted = []
+
+    def b():
+        yield env.timeout(1.0)
+        req = res.request()
+        yield req
+        order.append("B granted")
+        granted.append(req)
+
+    def a():
+        yield env.timeout(1.0)
+        order.append("A")
+
+    env.process(b())
+    env.process(a())
+    env.run()
+    assert order == ["A", "B granted"]
+    assert granted[0].usage_since == 1.0
+    assert res.grants == 1
+    assert res.total_wait == 0.0
+
+
 def test_release_schedules_only_the_next_grant():
     env = Environment()
     res = Resource(env, capacity=1)

@@ -2,8 +2,8 @@
 
 Every verb that simulates builds its ExperimentConfig from one flag
 table.  These tests pin what each verb builds from its required
-arguments alone, and that a bad value or fault plan ends in one
-``error:`` line and exit status 2 instead of a traceback.
+arguments alone, and that a bad value, fault plan or trace file ends in
+one ``error:`` line and exit status 2 instead of a traceback.
 """
 
 import pytest
@@ -80,8 +80,9 @@ def test_trace_replay_defaults_to_one_disk_per_traced_node(
     assert seen == [replay_config(trace, ExperimentConfig(n_disks=3))]
 
 
-def _write_plans(tmp_path):
+def _write_bad_files(tmp_path):
     (tmp_path / "bad.json").write_text("{}\n")
+    (tmp_path / "bad.jsonl").write_text("not json\n")
     FaultPlan(faults=(FailSlow(disk=9, factor=2.0),)).save(
         str(tmp_path / "disk9.json")
     )
@@ -106,6 +107,15 @@ BAD_INPUTS = [
     ),
     (["tournament", "--nodes", "0"], "n_nodes"),
     (["soak", "--nodes", "0"], "n_nodes"),
+    # Verbs that read a file without building a config.
+    (["trace", "stats", "{tmp}/missing.jsonl"], "{tmp}/missing.jsonl"),
+    (["trace", "replay", "{tmp}/missing.jsonl"], "{tmp}/missing.jsonl"),
+    (["analyze", "{tmp}/missing.jsonl"], "{tmp}/missing.jsonl"),
+    (["trace", "stats", "{tmp}/bad.jsonl"], "{tmp}/bad.jsonl"),
+    (["trace", "replay", "{tmp}/bad.jsonl"], "{tmp}/bad.jsonl"),
+    (["analyze", "{tmp}/bad.jsonl"], "{tmp}/bad.jsonl"),
+    (["faults", "show", "{tmp}/missing.json"], "{tmp}/missing.json"),
+    (["faults", "show", "{tmp}/bad.json"], "{tmp}/bad.json"),
 ]
 
 
@@ -116,7 +126,7 @@ def test_bad_input_exits_2_naming_the_field_or_file(
     argv, names, tmp_path, capsys
 ):
     _small_trace(tmp_path)
-    _write_plans(tmp_path)
+    _write_bad_files(tmp_path)
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     try:
         status = main(argv)
