@@ -168,6 +168,15 @@ class BlockCache:
         self.n_buffers = index
 
         self._freed = Event(env)
+        #: Calls of :meth:`_signal_freed` so far.  It runs wherever a
+        #: buffer may have become evictable, so while this count holds,
+        #: no buffer has.
+        self.frees = 0
+        #: ``frees`` when a prefetch-victim search last came back empty
+        #: (-1: none has).  While ``frees`` still equals it, every
+        #: prefetch buffer is still unevictable and the next search
+        #: answers None without scanning.
+        self._no_victim_at = -1
         #: Time demand requests spent waiting for an evictable buffer.
         self.alloc_waits = Tally("alloc_wait")
         #: Probe ``fs.access`` ``(node_id, block)``: every demand access,
@@ -213,7 +222,9 @@ class BlockCache:
     def _signal_freed(self) -> None:
         """Wake processes waiting for any buffer to become evictable.
         With none parked on ``_freed`` there is nothing to wake, so
-        nothing is scheduled."""
+        nothing is scheduled.  Every transition that can make a buffer
+        evictable must call this (see :attr:`frees`)."""
+        self.frees += 1
         if self._freed.callbacks:
             event, self._freed = self._freed, Event(self.env)
             event.succeed()
@@ -785,7 +796,11 @@ class BlockCache:
                 yield self.env.timeout(self.costs.prefetch_failed_action)
                 return "budget_full"
 
-            victim = self.replacement.prefetch_victim(self, node_id)
+            victim: Optional[Buffer] = None
+            if self._no_victim_at != self.frees:
+                victim = self.replacement.prefetch_victim(self, node_id)
+                if victim is None:
+                    self._no_victim_at = self.frees
             if victim is None:
                 policy.abort(node_id, ref_index, block)
                 self.metadata_lock.release(lock_req)
@@ -822,7 +837,8 @@ class BlockCache:
         Called by tests, after every run by the experiment runner, and
         periodically during audited runs (``--audit`` /
         :mod:`repro.analysis.audit`).  Unlike a bare ``assert``, these
-        checks survive ``python -O``.
+        checks survive ``python -O``.  While the failed-victim memo holds,
+        a fresh prefetch-victim scan must still find nothing.
         """
         for block, buffer in self.table.items():
             invariant(
@@ -882,4 +898,11 @@ class BlockCache:
                 id(buffer) in queued,
                 "dirty buffer missing from the flush queue",
                 buffer,
+            )
+        if self._no_victim_at == self.frees:
+            victim = self.replacement.prefetch_victim(self, 0)
+            invariant(
+                victim is None,
+                "buffer became evictable without _signal_freed",
+                victim,
             )

@@ -57,7 +57,13 @@ class ReplacementPolicy:
     def prefetch_victim(
         self, cache: "BlockCache", node_id: int
     ) -> Optional[Buffer]:
-        """Buffer to reuse for a prefetch initiated by ``node_id``."""
+        """Buffer to reuse for a prefetch initiated by ``node_id``.
+
+        None must mean that no prefetch buffer of any node is evictable,
+        whoever asks: :class:`~repro.fs.cache.BlockCache` keeps one
+        failed-search memo for all nodes and answers None from it until
+        a buffer may have been freed.
+        """
         raise NotImplementedError
 
 

@@ -242,18 +242,18 @@ class Trace:
                 line = line.strip()
                 if not line:
                     continue
-                if first_content_line:
-                    first_content_line = False
-                    if (
-                        parse_header(
-                            line,
-                            kind="access",
-                            max_version=ACCESS_TRACE_VERSION,
-                        )
-                        is not None
-                    ):
-                        continue
                 try:
+                    if first_content_line:
+                        first_content_line = False
+                        if (
+                            parse_header(
+                                line,
+                                kind="access",
+                                max_version=ACCESS_TRACE_VERSION,
+                            )
+                            is not None
+                        ):
+                            continue
                     records.append(TraceRecord.from_json(line))
                 except TraceFormatError as exc:
                     raise TraceFormatError(f"{path}:{lineno}: {exc}")

@@ -19,6 +19,7 @@ from typing import Any, Dict, List
 
 from ..experiments.config import ExperimentConfig
 from ..experiments.runner import RunResult
+from ..typecheck import check_field_values
 from .digest import canonical_json
 
 __all__ = [
@@ -51,9 +52,13 @@ def result_from_dict(
 ) -> RunResult:
     """Rebuild a slim :class:`RunResult` from its wire form.
 
-    Restores what JSON mangles: integer dict keys and the per-kind idle
-    triples (lists back to tuples).  The raw handles come back ``None``.
+    Checks every field against its ``RunResult`` annotation first (a
+    ``TypeError`` naming the field, which the run cache reads as a miss),
+    then restores what JSON mangles: integer dict keys and the per-kind
+    idle triples (lists back to tuples).  The raw handles come back
+    ``None``.
     """
+    check_field_values(RunResult, data)
     payload = dict(data)
     for name in _INT_KEY_FIELDS:
         if name in payload:

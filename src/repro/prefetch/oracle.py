@@ -12,8 +12,10 @@ established where the next portion begins.
 Candidate selection for node *N*:
 
 1. scope = *N*'s own string (local patterns) or the shared string (global);
-2. start scanning at ``earliest_candidate_index(lead, frontier, n)``
-   (Section V-E's minimum prefetch lead, relaxed near the string's end);
+2. start scanning at the scope's floor, the first unclaimed index past
+   the frontier, or at ``earliest_candidate_index(lead, frontier, n)``
+   when that is later (Section V-E's minimum prefetch lead, relaxed near
+   the string's end);
 3. skip references already claimed by a prefetch or observed in cache
    (another node may have fetched the block — interprocess benefit);
 4. stop at a portion boundary when the pattern forbids crossing.
@@ -24,7 +26,7 @@ each reference is prefetched at most once machine-wide.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..workload.patterns import AccessPattern
 from ..workload.progress import ProgressTracker
@@ -32,6 +34,45 @@ from .lead import earliest_candidate_index
 from .policy import PrefetchPolicy
 
 __all__ = ["OraclePolicy"]
+
+
+class _Scope:
+    """One reference string's scan state, as plain Python values.
+
+    ``floor`` is the first index that is neither claimed nor at or below
+    the frontier, as of the last scan.  The frontier only grows and
+    claims are never released, so no index below it can be proposed
+    again or keep the scope from being exhausted: every scan starts at
+    the floor (raised to ``frontier + 1`` first), skipping exactly the
+    claimed indices the full walk would step over one by one.
+    """
+
+    __slots__ = ("string", "portions", "crosses", "n", "claimed",
+                 "reserved", "floor")
+
+    def __init__(self, pattern: AccessPattern, node_id: int) -> None:
+        self.string: List[int] = pattern.string_for(node_id).tolist()
+        self.portions: List[int] = pattern.portions_for(node_id).tolist()
+        self.crosses = pattern.crosses_for(node_id)
+        self.n = len(self.string)
+        #: Claimed (committed or covered) reference indices.
+        self.claimed: Set[int] = set()
+        #: Reserved (action in flight) reference indices.
+        self.reserved: Set[int] = set()
+        self.floor = 0
+
+    def scan_start(self, frontier: int) -> int:
+        """Raise the floor past the frontier and every claimed index
+        above it; return it."""
+        i = self.floor
+        if i <= frontier:
+            i = frontier + 1
+        claimed = self.claimed
+        n = self.n
+        while i < n and i in claimed:
+            i += 1
+        self.floor = i
+        return i
 
 
 class OraclePolicy(PrefetchPolicy):
@@ -60,52 +101,41 @@ class OraclePolicy(PrefetchPolicy):
         self.pattern = pattern
         self.tracker = tracker
         self.lead = lead
-        #: Per-scope set of claimed (committed or covered) reference indices.
-        self._claimed: Dict[int, Set[int]] = {}
-        #: Per-scope set of reserved (action in flight) reference indices.
-        self._reserved: Dict[int, Set[int]] = {}
-        #: Per-scope scan floor: every unclaimed candidate is >= this.
-        self._scan_base: Dict[int, int] = {}
+        self._local = pattern.scope == "local"
+        #: Scan state per string (node for local patterns, 0 for global),
+        #: built on first use.
+        self._scopes: Dict[int, _Scope] = {}
 
     # -- internals ---------------------------------------------------------------
 
-    def _scope(self, node_id: int) -> int:
-        return node_id if self.pattern.scope == "local" else 0
-
-    def _claimed_for(self, scope: int) -> Set[int]:
-        return self._claimed.setdefault(scope, set())
-
-    def _reserved_for(self, scope: int) -> Set[int]:
-        return self._reserved.setdefault(scope, set())
-
-    def _advance_scan_base(self, scope: int, n_refs: int) -> None:
-        claimed = self._claimed_for(scope)
-        base = self._scan_base.get(scope, 0)
-        while base < n_refs and base in claimed:
-            base += 1
-        self._scan_base[scope] = base
+    def _scope(self, node_id: int) -> _Scope:
+        key = node_id if self._local else 0
+        scope = self._scopes.get(key)
+        if scope is None:
+            scope = self._scopes[key] = _Scope(self.pattern, node_id)
+        return scope
 
     # -- PrefetchPolicy interface ---------------------------------------------------
 
     def peek(self, node_id: int) -> Optional[Tuple[int, int]]:
         scope = self._scope(node_id)
-        string = self.pattern.string_for(node_id)
-        portions = self.pattern.portions_for(node_id)
-        n = len(string)
+        n = scope.n
         if n == 0:
             return None
-        claimed = self._claimed_for(scope)
-        reserved = self._reserved_for(scope)
         frontier = self.tracker.frontier(node_id)
+        i = scope.scan_start(frontier)
+        if self.lead:
+            i = max(i, earliest_candidate_index(self.lead, frontier, n))
 
-        start = earliest_candidate_index(self.lead, frontier, n)
-        i = max(start, self._scan_base.get(scope, 0), frontier + 1)
-
-        crosses = self.pattern.crosses_for(node_id)
+        claimed = scope.claimed
+        reserved = scope.reserved
+        string = scope.string
+        crosses = scope.crosses
         if not crosses:
             # Only the portion the demand activity has reached (or the very
             # first portion before any demand) is prefetchable.
-            allowed_portion = portions[frontier] if frontier >= 0 else portions[0]
+            portions = scope.portions
+            allowed_portion = portions[frontier if frontier >= 0 else 0]
 
         while i < n:
             if i in claimed or i in reserved:
@@ -113,33 +143,29 @@ class OraclePolicy(PrefetchPolicy):
                 continue
             if not crosses and portions[i] > allowed_portion:
                 return None  # transient: wait for demand to cross over
-            block = int(string[i])
+            block = string[i]
             if self._in_cache(block):
                 # Someone else brought it in; never propose it.
                 claimed.add(i)
-                self._advance_scan_base(scope, n)
                 i += 1
                 continue
             reserved.add(i)
             return i, block
         return None
 
-    def _settle(self, scope: int, ref_index: int, n_refs: int) -> None:
-        self._reserved_for(scope).discard(ref_index)
-        self._claimed_for(scope).add(ref_index)
-        self._advance_scan_base(scope, n_refs)
+    def _settle(self, node_id: int, ref_index: int) -> None:
+        scope = self._scope(node_id)
+        scope.reserved.discard(ref_index)
+        scope.claimed.add(ref_index)
 
     def commit(self, node_id: int, ref_index: int, block: int) -> None:
-        scope = self._scope(node_id)
-        self._settle(scope, ref_index, len(self.pattern.string_for(node_id)))
+        self._settle(node_id, ref_index)
 
     def mark_covered(self, node_id: int, ref_index: int, block: int) -> None:
-        scope = self._scope(node_id)
-        self._settle(scope, ref_index, len(self.pattern.string_for(node_id)))
+        self._settle(node_id, ref_index)
 
     def abort(self, node_id: int, ref_index: int, block: int) -> None:
-        scope = self._scope(node_id)
-        self._reserved_for(scope).discard(ref_index)
+        self._scope(node_id).reserved.discard(ref_index)
 
     def exhausted(self, node_id: int) -> bool:
         """No unclaimed reference beyond the frontier remains (permanent:
@@ -149,12 +175,10 @@ class OraclePolicy(PrefetchPolicy):
         aborted reservation can only coexist with a still-running daemon,
         which will re-peek it."""
         scope = self._scope(node_id)
-        string = self.pattern.string_for(node_id)
-        n = len(string)
-        claimed = self._claimed_for(scope)
-        reserved = self._reserved_for(scope)
-        i = max(self.tracker.frontier(node_id) + 1,
-                self._scan_base.get(scope, 0))
+        i = scope.scan_start(self.tracker.frontier(node_id))
+        n = scope.n
+        claimed = scope.claimed
+        reserved = scope.reserved
         while i < n:
             if i not in claimed and i not in reserved:
                 return False

@@ -265,11 +265,14 @@ class ReplayTrace:
                 if not line:
                     continue
                 if meta is None:
-                    version = parse_header(
-                        line,
-                        kind=REPLAY_TRACE_KIND,
-                        max_version=REPLAY_TRACE_VERSION,
-                    )
+                    try:
+                        version = parse_header(
+                            line,
+                            kind=REPLAY_TRACE_KIND,
+                            max_version=REPLAY_TRACE_VERSION,
+                        )
+                    except TraceFormatError as exc:
+                        raise TraceFormatError(f"{path}:{lineno}: {exc}")
                     if version is None:
                         raise TraceFormatError(
                             f"{path}:{lineno}: not a replay trace (missing "
@@ -295,7 +298,10 @@ class ReplayTrace:
         if meta is None:
             raise TraceFormatError(f"{path}: empty trace file (no header)")
         trace = cls(meta, records)
-        trace.validate()
+        try:
+            trace.validate()
+        except TraceFormatError as exc:
+            raise TraceFormatError(f"{path}: {exc}")
         return trace
 
     # -- replay views -----------------------------------------------------------

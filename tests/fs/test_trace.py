@@ -6,6 +6,7 @@ import pytest
 
 from repro.fs import Trace, TraceRecord
 from repro.fs.trace import ACCESS_TRACE_VERSION, TraceFormatError
+from repro.traces import ReplayRecord, ReplayTrace, TraceMeta
 
 from ..helpers import build_stack, user_read_many
 
@@ -124,6 +125,17 @@ def test_load_rejects_wrong_kind(tmp_path):
     )
     with pytest.raises(TraceFormatError, match="expected 'access'"):
         Trace.load(path)
+
+
+def test_load_of_a_replay_trace_names_the_file(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    meta = TraceMeta(workload="x", n_nodes=1, file_blocks=4)
+    ReplayTrace(meta, [ReplayRecord(node=0, block=1)]).save(path)
+    with pytest.raises(TraceFormatError) as err:
+        Trace.load(path)
+    assert str(err.value) == (
+        f"{path}:1: trace file holds a 'replay' trace, expected 'access'"
+    )
 
 
 def test_load_rejects_future_version(tmp_path):

@@ -2,11 +2,17 @@
 
 import json
 
+import pytest
+
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.perf.cache import _FORMAT, CACHE_DIR_ENV, RunCache, open_cache
 from repro.perf.digest import obs_digest, run_key
-from repro.perf.serialize import result_to_dict, results_digest
+from repro.perf.serialize import (
+    result_from_dict,
+    result_to_dict,
+    results_digest,
+)
 
 
 def _entry_path(cache, config):
@@ -72,6 +78,23 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     entry = _entry_path(cache, config)
     entry.write_text("{not json", encoding="utf-8")
     assert cache.get(config) is None
+
+
+@pytest.mark.parametrize(
+    "field, value", [("total_time", "bogus"), ("prefetch_outcomes", [1, 2])]
+)
+def test_mistyped_field_is_a_miss(tmp_path, field, value):
+    config = _config()
+    cache = RunCache(tmp_path)
+    cache.put(config, run_experiment(config))
+    entry = _entry_path(cache, config)
+    data = json.loads(entry.read_text(encoding="utf-8"))
+    data["result"][field] = value
+    entry.write_text(json.dumps(data), encoding="utf-8")
+    assert cache.get(config) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    with pytest.raises(TypeError, match=f"^{field} must be"):
+        result_from_dict(config, data["result"])
 
 
 def test_obs_round_trip(tmp_path):

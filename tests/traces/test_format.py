@@ -137,6 +137,27 @@ def test_load_empty_file(tmp_path):
         ReplayTrace.load(path)
 
 
+def test_load_names_the_file_on_a_header_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        '{"format":"rapid-transit-trace","kind":"access","version":1}\n'
+    )
+    with pytest.raises(TraceFormatError) as err:
+        ReplayTrace.load(path)
+    assert str(err.value) == (
+        f"{path}:1: trace file holds a 'access' trace, expected 'replay'"
+    )
+
+
+def test_load_names_the_file_on_a_validation_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    meta = TraceMeta(workload="x", n_nodes=3, file_blocks=10)
+    ReplayTrace(meta, [ReplayRecord(node=9, block=0)]).save(path)
+    with pytest.raises(TraceFormatError) as err:
+        ReplayTrace.load(path)
+    assert str(err.value) == f"{path}: record 0: node 9 outside 0..2"
+
+
 def test_validate_node_out_of_range():
     meta = TraceMeta(workload="x", n_nodes=1, file_blocks=10)
     trace = ReplayTrace(meta, [ReplayRecord(node=5, block=0)])
