@@ -367,7 +367,8 @@ def run_materialized(
     env.run(until=env.all_of(apps))
     metrics.end_run()
     # A held result keeps ``env`` alive (through ``metrics``); release the
-    # subscribers so it does not also keep the whole model graph alive.
+    # subscribers and step observers so it does not also keep the whole
+    # model graph alive.
     env.unsubscribe_all()
 
     # Post-run consistency.

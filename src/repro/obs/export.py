@@ -197,19 +197,21 @@ def timelines_to_csv(timelines: TimelineRegistry) -> str:
     """Sampled series pivoted into one CSV: time column + one per series.
 
     Every series is sampled at the same boundaries (a single sampler
-    snapshots them together), so rows align by sample index.
+    snapshots them together), so rows align by sample index.  Each
+    series' samples are built once, before the row loop.
     """
     all_series = timelines.series
+    columns = [series.samples for series in all_series]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["time_ms"] + [series.name for series in all_series])
-    n_rows = max((len(series) for series in all_series), default=0)
+    n_rows = max((len(samples) for samples in columns), default=0)
     for row in range(n_rows):
         t = None
         cells: List[Any] = []
-        for series in all_series:
-            if row < len(series.samples):
-                t, value = series.samples[row]
+        for samples in columns:
+            if row < len(samples):
+                t, value = samples[row]
                 cells.append(value)
             else:
                 cells.append("")

@@ -34,7 +34,7 @@ by the simulation hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from .attribution import attribution_digest
 from .spans import SpanLog
@@ -45,9 +45,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import RunResult
     from ..faults.layer import ResilienceLayer
     from ..fs.cache import BlockCache
-    from ..machine.disk import Disk, DiskRequest
+    from ..machine.disk import DiskRequest
     from ..machine.machine import Machine
-    from ..machine.node import Node
     from ..sim.core import Environment
 
 __all__ = ["ObsConfig", "ObsData", "ObsRecorder", "run_with_obs"]
@@ -94,20 +93,6 @@ class ObsData:
     digest: str = ""
 
 
-def _disk_queue_gauge(disk: "Disk") -> Callable[[], float]:
-    def read() -> float:
-        return float(disk.pending)
-
-    return read
-
-
-def _node_cpu_gauge(node: "Node") -> Callable[[], float]:
-    def read() -> float:
-        return float(node.cpu.count)
-
-    return read
-
-
 class ObsRecorder:
     """Passive run instrumentation: spans + metric timelines."""
 
@@ -146,14 +131,16 @@ class ObsRecorder:
         self.timelines.register_gauge(
             "cache.dirty", lambda: float(cache.dirty_count)
         )
-        for disk in machine.disks:
-            self.timelines.register_gauge(
-                f"disk{disk.disk_id}.queue", _disk_queue_gauge(disk)
-            )
-        for node in machine.nodes:
-            self.timelines.register_gauge(
-                f"node{node.node_id}.cpu", _node_cpu_gauge(node)
-            )
+        disks = machine.disks
+        nodes = machine.nodes
+        self.timelines.register_gauges(
+            [f"disk{disk.disk_id}.queue" for disk in disks],
+            lambda: [disk.pending for disk in disks],
+        )
+        self.timelines.register_gauges(
+            [f"node{node.node_id}.cpu" for node in nodes],
+            lambda: [node.cpu.count for node in nodes],
+        )
         env.subscribe("disk.request", self._on_disk_request)
         env.subscribe("prefetch.action", self._on_daemon_action)
         env.subscribe("writeback.action", self._on_flusher_action)

@@ -20,11 +20,20 @@ Instruments:
 Samples are recorded at the *boundary* timestamp (``k * interval``) with
 the value the instrument holds when the first event at-or-after that
 boundary is popped — i.e. the state that held across the quiet gap.
+
+Samples are stored as rows, not as pairs per series: one time column,
+and per *group* one row per sample holding what the group's read
+returned — a scalar for a one-name gauge, a list for a gauge group
+(:meth:`TimelineRegistry.register_gauges`) and for the counters and
+histograms together.  A :class:`Series` is a read-only view over its
+group's column; it builds its ``(t, float(value))`` pairs when read.  At
+200 nodes that is three lists per sample instead of 409 tuples for the
+garbage collector to track.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -42,22 +51,49 @@ DEFAULT_BOUNDS: Tuple[float, ...] = (
 
 
 class Series:
-    """One sampled timeline: ``(sim_time, value)`` pairs, in time order."""
+    """One sampled timeline: ``(sim_time, value)`` pairs, in time order.
 
-    def __init__(self, name: str, kind: str) -> None:
+    A read-only view over its group's rows: sample ``i`` is
+    ``rows[skip + i]``, at ``column`` unless each row is the value
+    (``column`` None), taken at ``times[first + i]``.  A series starts
+    at the next sample taken after it is made.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        kind: str,
+        times: List[float],
+        rows: List[Any],
+        column: Optional[int],
+    ) -> None:
         self.name = name
         #: ``gauge`` | ``counter`` | ``histogram``.
         self.kind = kind
-        self.samples: List[Tuple[float, float]] = []
+        self._times = times
+        self._rows = rows
+        self._column = column
+        self._first = len(times)
+        self._skip = len(rows)
 
-    def record(self, t: float, value: float) -> None:
-        self.samples.append((t, float(value)))
+    @property
+    def samples(self) -> List[Tuple[float, float]]:
+        """The ``(t, value)`` pairs, built on each read; never append."""
+        times = self._times[self._first:]
+        rows = self._rows[self._skip:]
+        column = self._column
+        if column is None:
+            return [(t, float(value)) for t, value in zip(times, rows)]
+        return [(t, float(row[column])) for t, row in zip(times, rows)]
 
     def last(self) -> Optional[float]:
-        return self.samples[-1][1] if self.samples else None
+        if not len(self):
+            return None
+        row = self._rows[-1]
+        return float(row if self._column is None else row[self._column])
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self._times) - self._first
 
 
 class Counter:
@@ -109,29 +145,56 @@ class Histogram:
 
 
 class TimelineRegistry:
-    """Named instruments plus the series their samples accumulate into.
+    """Named instruments plus the rows their samples accumulate into.
 
     Registration order is the export order, so reports are deterministic
-    without any sorting of names.
+    without any sorting of names.  A series registered after sampling
+    began starts at the next sample.
     """
 
     def __init__(self) -> None:
-        self._gauges: List[Tuple[Series, Callable[[], float]]] = []
-        self._counters: List[Tuple[Series, Counter]] = []
+        #: The sample times, one per :meth:`sample_all`.
+        self._times: List[float] = []
+        # Counters and histograms share one group; their row holds one
+        # read per instrument, in registration order, so a column never
+        # moves when a later instrument widens the rows.
+        self._tally_reads: List[Callable[[], float]] = []
+        self._tally_rows: List[List[float]] = []
+        #: ``(read, rows)`` per group: ``rows`` gets one ``read()`` per
+        #: sample, as returned.
+        self._groups: List[Tuple[Callable[[], Any], List[Any]]] = [
+            (lambda: [read() for read in self._tally_reads], self._tally_rows)
+        ]
+        self._gauges: List[Series] = []
+        self._counters: List[Series] = []
         self._histograms: List[Tuple[Series, Histogram]] = []
 
     # -- registration ---------------------------------------------------------
 
     def register_gauge(self, name: str, read: Callable[[], float]) -> Series:
         """Sample ``read()`` at every boundary under ``name``."""
-        series = Series(name, "gauge")
-        self._gauges.append((series, read))
+        series = Series(name, "gauge", self._times, self._group(read), None)
+        self._gauges.append(series)
+        return series
+
+    def register_gauges(
+        self, names: Sequence[str], read: Callable[[], Sequence[float]]
+    ) -> List[Series]:
+        """Sample ``read()``, one value per name, at every boundary."""
+        rows = self._group(read)
+        series = [
+            Series(name, "gauge", self._times, rows, column)
+            for column, name in enumerate(names)
+        ]
+        self._gauges.extend(series)
         return series
 
     def counter(self, name: str) -> Counter:
         """A new counter whose cumulative value is sampled as a series."""
         counter = Counter(name)
-        self._counters.append((Series(name, "counter"), counter))
+        self._counters.append(
+            self._tally(name, "counter", lambda: counter.value)
+        )
         return counter
 
     def histogram(
@@ -139,27 +202,37 @@ class TimelineRegistry:
     ) -> Histogram:
         """A new histogram; its total observation count is sampled."""
         histogram = Histogram(name, bounds)
-        self._histograms.append((Series(name, "histogram"), histogram))
+        series = self._tally(name, "histogram", lambda: histogram.total)
+        self._histograms.append((series, histogram))
         return histogram
+
+    def _group(self, read: Callable[[], Any]) -> List[Any]:
+        rows: List[Any] = []
+        self._groups.append((read, rows))
+        return rows
+
+    def _tally(
+        self, name: str, kind: str, read: Callable[[], float]
+    ) -> Series:
+        column = len(self._tally_reads)
+        self._tally_reads.append(read)
+        return Series(name, kind, self._times, self._tally_rows, column)
 
     # -- sampling -------------------------------------------------------------
 
     def sample_all(self, t: float) -> None:
         """Snapshot every instrument at boundary timestamp ``t``."""
-        for series, read in self._gauges:
-            series.record(t, read())
-        for series, counter in self._counters:
-            series.record(t, counter.value)
-        for series, histogram in self._histograms:
-            series.record(t, float(histogram.total))
+        self._times.append(t)
+        for read, rows in self._groups:
+            rows.append(read())
 
     # -- queries --------------------------------------------------------------
 
     @property
     def series(self) -> List[Series]:
         """Every series, in registration order (gauges, counters, hists)."""
-        out = [series for series, _ in self._gauges]
-        out.extend(series for series, _ in self._counters)
+        out = list(self._gauges)
+        out.extend(self._counters)
         out.extend(series for series, _ in self._histograms)
         return out
 

@@ -52,24 +52,25 @@ def result_from_dict(
 ) -> RunResult:
     """Rebuild a slim :class:`RunResult` from its wire form.
 
-    Checks every field against its ``RunResult`` annotation first (a
-    ``TypeError`` naming the field, which the run cache reads as a miss),
-    then restores what JSON mangles: integer dict keys and the per-kind
-    idle triples (lists back to tuples).  The raw handles come back
-    ``None``.
+    Restores what JSON mangles first: integer dict keys (a key that is
+    not an integer raises ``ValueError``) and the per-kind idle triples
+    (lists back to tuples).  Then checks every field against its
+    ``RunResult`` annotation, items included (a ``TypeError`` naming the
+    field).  The run cache reads either error as a miss.  The raw
+    handles come back ``None``.
     """
-    check_field_values(RunResult, data)
     payload = dict(data)
     for name in _INT_KEY_FIELDS:
-        if name in payload:
+        if isinstance(payload.get(name), dict):
             payload[name] = {
                 int(k): v for k, v in payload[name].items()
             }
-    if "idle_by_kind" in payload:
+    if isinstance(payload.get("idle_by_kind"), dict):
         payload["idle_by_kind"] = {
-            kind: tuple(entry)
+            kind: tuple(entry) if isinstance(entry, list) else entry
             for kind, entry in payload["idle_by_kind"].items()
         }
+    check_field_values(RunResult, payload)
     return RunResult(
         config=config,
         metrics=None,  # type: ignore[arg-type]

@@ -154,11 +154,13 @@ class Environment:
         self.probe(point).append(fn)
 
     def unsubscribe_all(self) -> None:
-        """Drop every probe subscription.  Called once a run is over, so
-        a result that keeps this environment alive does not also keep
-        every subscriber (and the model graph they reach) alive."""
+        """Drop every probe subscription and every step observer.  Called
+        once a run is over, so a result that keeps this environment alive
+        does not also keep every subscriber and observer (and the model
+        graph they reach) alive."""
         for subs in self._probes.values():
             subs.clear()
+        self._step_observers.clear()
 
     # -- scheduling -----------------------------------------------------------
 

@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment, run_pair
 from repro.faults import FailSlow, FaultPlan, ResiliencePolicy, TransientErrors
+from repro.obs import ObsRecorder
 
 SMALL = dict(n_nodes=4, n_disks=4, file_blocks=200, total_reads=200)
 
@@ -194,6 +195,37 @@ def test_held_result_does_not_keep_its_run_alive(pattern, policy, faults):
     gc.collect()
     assert result.metrics is not None
     assert watcher.cache_ref() is None
+
+
+class _ObservedWatcher:
+    """An obs recorder wired into the run; the machine held weakly."""
+
+    machine_ref = None
+
+    def __init__(self):
+        self.recorder = ObsRecorder()
+
+    def on_environment(self, env):
+        self.recorder.on_environment(env)
+
+    def on_wired(self, env, machine, cache):
+        self.machine_ref = weakref.ref(machine)
+        self.recorder.on_wired(env, machine, cache)
+
+
+def test_held_obs_result_does_not_keep_its_recorder_alive():
+    # The timeline sampler is a step observer on the environment the
+    # result holds; its registry's gauges read the machine.
+    watcher = _ObservedWatcher()
+    result = run_experiment(small_config(), instrument=watcher)
+    data = watcher.recorder.finalize(result)
+    registry_ref = weakref.ref(data.timelines)
+    machine_ref = watcher.machine_ref
+    del watcher, data
+    gc.collect()
+    assert result.metrics is not None
+    assert registry_ref() is None
+    assert machine_ref() is None
 
 
 class _ProbeCounter:

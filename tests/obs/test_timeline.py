@@ -74,3 +74,61 @@ def test_sampler_crosses_boundaries():
 def test_sampler_rejects_nonpositive_interval():
     with pytest.raises(ValueError):
         TimelineSampler(TimelineRegistry(), interval=0.0)
+
+
+def _views(registry):
+    """One series of each kind, plus a two-wide gauge group."""
+    state = {"depth": 0, "cpus": [0, 1]}
+    gauge = registry.register_gauge("queue", lambda: state["depth"])
+    group = registry.register_gauges(
+        ["cpu0", "cpu1"], lambda: list(state["cpus"])
+    )
+    counter = registry.counter("reads")
+    histogram = registry.histogram("latency", bounds=(10.0,))
+    return state, gauge, group, counter, histogram
+
+
+def test_series_views_of_every_kind():
+    registry = TimelineRegistry()
+    state, gauge, (cpu0, cpu1), counter, histogram = _views(registry)
+    assert [len(gauge), gauge.last(), gauge.samples] == [0, None, []]
+    registry.sample_all(50.0)
+    state["depth"] = 2
+    state["cpus"] = [1, 0]
+    counter.inc()
+    histogram.observe(4.0)
+    histogram.observe(40.0)
+    registry.sample_all(100.0)
+    assert gauge.samples == [(50.0, 0.0), (100.0, 2.0)]
+    assert cpu0.samples == [(50.0, 0.0), (100.0, 1.0)]
+    assert cpu1.samples == [(50.0, 1.0), (100.0, 0.0)]
+    assert registry.find("reads").samples == [(50.0, 0.0), (100.0, 1.0)]
+    assert registry.find("latency").samples == [(50.0, 0.0), (100.0, 2.0)]
+    series = registry.series
+    assert [s.kind for s in series] == [
+        "gauge", "gauge", "gauge", "counter", "histogram"
+    ]
+    for s in series:
+        assert len(s) == 2
+        assert s.last() == s.samples[-1][1]
+        # Values are floats whatever the read returned.
+        assert all(type(v) is float for _, v in s.samples)
+
+
+def test_series_registered_after_sampling_starts_at_the_next_sample():
+    registry = TimelineRegistry()
+    early = registry.counter("early")
+    registry.sample_all(50.0)
+    state, gauge, group, counter, histogram = _views(registry)
+    late = [gauge, *group, registry.find("reads"), registry.find("latency")]
+    assert all(len(s) == 0 and s.last() is None for s in late)
+    early.inc()
+    counter.inc(3.0)
+    state["depth"] = 5
+    registry.sample_all(100.0)
+    assert registry.find("early").samples == [(50.0, 0.0), (100.0, 1.0)]
+    assert [s.samples for s in late] == [
+        [(100.0, 5.0)], [(100.0, 0.0)], [(100.0, 1.0)],
+        [(100.0, 3.0)], [(100.0, 0.0)],
+    ]
+    assert registry.find("reads").last() == 3.0

@@ -97,6 +97,33 @@ def test_mistyped_field_is_a_miss(tmp_path, field, value):
         result_from_dict(config, data["result"])
 
 
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("prefetch_outcomes", {"success": "lots"}, "['success']"),
+        ("per_node_read_means", ["x"], "[0]"),
+        # JSON stores the triple as a list and the key as a string; both
+        # are restored before the check, so only the bad item fails.
+        ("idle_by_kind", {"sync": ("a", 1, 2)}, "['sync'][0]"),
+        ("errors_by_disk", {0: "many"}, "[0]"),
+    ],
+)
+def test_mistyped_item_is_a_miss(tmp_path, field, value, path):
+    config = _config()
+    cache = RunCache(tmp_path)
+    cache.put(config, run_experiment(config))
+    entry = _entry_path(cache, config)
+    data = json.loads(entry.read_text(encoding="utf-8"))
+    data["result"][field] = value
+    entry.write_text(json.dumps(data), encoding="utf-8")
+    assert cache.get(config) is None
+    assert (cache.hits, cache.misses) == (0, 1)
+    stored = json.loads(entry.read_text(encoding="utf-8"))["result"]
+    with pytest.raises(TypeError) as caught:
+        result_from_dict(config, stored)
+    assert str(caught.value).startswith(f"{field}{path} must be")
+
+
 def test_obs_round_trip(tmp_path):
     config = _config()
     result = run_experiment(config)
