@@ -21,8 +21,8 @@ from repro.experiments.analysis import (
     run_lengths,
     sequentiality,
 )
-from repro.fs import Trace
 from repro.metrics import render_table
+from repro.traces import ReplayTrace
 
 
 def main() -> None:
@@ -41,11 +41,12 @@ def main() -> None:
         )
         traces[pattern] = result.trace
 
-    # Traces round-trip through files (JSON lines).
+    # Traces round-trip through files (JSON lines): the same file
+    # `rapid-transit trace record` writes and `rapid-transit analyze` reads.
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "gw.trace.jsonl"
         traces["gw"].save(path)
-        traces["gw"] = Trace.load(path)
+        traces["gw"] = ReplayTrace.load(path)
 
     rows = []
     for pattern, trace in traces.items():

@@ -10,8 +10,9 @@ Subcommands:
   and print its table and shape checks (``--scatter`` adds the y=x view);
 * ``sweep``   — sweep any ExperimentConfig parameter with paired runs;
 * ``report``  — regenerate *every* figure into a markdown report;
-* ``analyze`` — offline analysis of a saved trace (JSON lines): what-if
-  hit ratios, sequentiality, and Fig. 2 taxonomy classification;
+* ``analyze`` — offline analysis of a trace file (what ``trace record``,
+  ``trace synth`` and ``trace import`` write): what-if hit ratios,
+  sequentiality, and Fig. 2 taxonomy classification;
 * ``audit``   — determinism audit: run one configuration twice (prefetch
   on and off), compare event-trace hashes, and report same-instant
   resource collisions and invariant sweeps (see docs/analysis.md);
@@ -608,13 +609,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         classify_pattern,
         lru_hit_ratio,
         opt_hit_ratio,
+        outcome_counts,
         run_lengths,
         sequentiality,
     )
-    from .fs.trace import Trace
+    from .fs.trace import ReplayTrace
 
-    trace = _read(Trace.load, args.trace)
-    print(f"{len(trace)} accesses; outcomes {trace.outcome_counts()}")
+    trace = _read(ReplayTrace.load, args.trace)
+    print(f"{len(trace)} accesses; outcomes {outcome_counts(trace)}")
     seq = sequentiality(trace)
     print(
         f"global sequentiality: successor {seq['successor_fraction']:.2f}, "
@@ -1085,7 +1087,6 @@ def build_parser() -> argparse.ArgumentParser:
         n_disks=8,
         file_blocks=640,
         total_reads=640,
-        record_trace=False,
     )
     p_soak.add_argument(
         "--save-plans", default=None, metavar="DIR",
@@ -1126,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.set_defaults(func=_cmd_report)
 
     p_an = sub.add_parser("analyze", help="offline trace analysis")
-    p_an.add_argument("trace", help="trace file (JSON lines)")
+    p_an.add_argument("trace", help="replay trace file (JSON lines)")
     p_an.add_argument(
         "--cache-sizes", type=int, nargs="+", default=[20, 80, 200]
     )

@@ -1,8 +1,9 @@
-"""Offline analysis of recorded access traces.
+"""Offline analysis of recorded traces.
 
 "The exact access pattern is recorded for off-line analysis of prefetching
 strategies" (Section IV-C).  These tools answer what-if questions against a
-recorded :class:`~repro.fs.trace.Trace` without re-running the simulator:
+:class:`~repro.fs.trace.ReplayTrace` (what ``trace record``, ``trace
+synth`` and ``trace import`` write) without re-running the simulator:
 
 * :func:`lru_hit_ratio` — hit ratio of a pure LRU cache of a given size on
   the merged reference string (caching alone, no prefetching — the paper's
@@ -13,7 +14,15 @@ recorded :class:`~repro.fs.trace.Trace` without re-running the simulator:
 * :func:`run_lengths` — per-node sequential run lengths (what a local
   portion learner could exploit);
 * :func:`reuse_distances` — stack distances, the classical locality
-  profile.
+  profile;
+* :func:`outcome_counts` — the recording run's access outcomes.
+
+Every measure reads the accesses in one order.  When every record
+carries a recorded completion time (recorded and imported traces), that
+is ``(time, node)`` order, the merged string the machine produced.
+Otherwise (synthetic traces, ``time == -1``) it is file order, which a
+generator writes node by node, so the "merged" string is the nodes'
+timelines one after another.
 """
 
 from __future__ import annotations
@@ -21,29 +30,59 @@ from __future__ import annotations
 from collections import OrderedDict, deque
 from typing import Deque, Dict, List
 
-from ..fs.trace import Trace
+from ..fs.trace import ReplayRecord, ReplayTrace
 
 __all__ = [
     "PatternClassification",
     "classify_pattern",
     "lru_hit_ratio",
     "opt_hit_ratio",
+    "outcome_counts",
     "sequentiality",
     "run_lengths",
     "reuse_distances",
 ]
 
 
-def _blocks_in_time_order(trace: Trace) -> List[int]:
-    return [r.block for r in trace.time_sorted()]
+def _in_order(trace: ReplayTrace) -> List[ReplayRecord]:
+    """The records in analysis order: ``(time, node)`` when every record
+    has a recorded time, else file order."""
+    records = trace.records
+    if all(r.time >= 0.0 for r in records):
+        return sorted(records, key=lambda r: (r.time, r.node))
+    return list(records)
 
 
-def lru_hit_ratio(trace: Trace, cache_blocks: int) -> float:
+def _merged_blocks(trace: ReplayTrace) -> List[int]:
+    return [r.block for r in _in_order(trace)]
+
+
+def _blocks_by_node(trace: ReplayTrace) -> Dict[int, List[int]]:
+    """Each node's blocks in analysis order, nodes ascending."""
+    out: Dict[int, List[int]] = {}
+    for r in _in_order(trace):
+        out.setdefault(r.node, []).append(r.block)
+    return {node: out[node] for node in sorted(out)}
+
+
+def outcome_counts(trace: ReplayTrace) -> Dict[str, int]:
+    """Accesses per recorded outcome, in file order.  The read outcomes
+    are always present; a write counts as ``write-<outcome>`` and an
+    access with no recorded outcome as ``unrecorded``."""
+    counts: Dict[str, int] = {"ready": 0, "unready": 0, "miss": 0}
+    for r in trace.records:
+        outcome = r.outcome or "unrecorded"
+        key = f"write-{outcome}" if r.op == "w" else outcome
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def lru_hit_ratio(trace: ReplayTrace, cache_blocks: int) -> float:
     """Hit ratio of demand-only LRU caching of ``cache_blocks`` blocks
     over the trace's merged (time-ordered) reference string."""
     if cache_blocks <= 0:
         raise ValueError("cache_blocks must be positive")
-    refs = _blocks_in_time_order(trace)
+    refs = _merged_blocks(trace)
     if not refs:
         return 0.0
     cache: OrderedDict = OrderedDict()
@@ -59,11 +98,11 @@ def lru_hit_ratio(trace: Trace, cache_blocks: int) -> float:
     return hits / len(refs)
 
 
-def opt_hit_ratio(trace: Trace, cache_blocks: int) -> float:
+def opt_hit_ratio(trace: ReplayTrace, cache_blocks: int) -> float:
     """Belady's OPT (furthest-future-use eviction) demand hit ratio."""
     if cache_blocks <= 0:
         raise ValueError("cache_blocks must be positive")
-    refs = _blocks_in_time_order(trace)
+    refs = _merged_blocks(trace)
     if not refs:
         return 0.0
 
@@ -95,7 +134,7 @@ def opt_hit_ratio(trace: Trace, cache_blocks: int) -> float:
     return hits / len(refs)
 
 
-def sequentiality(trace: Trace) -> Dict[str, float]:
+def sequentiality(trace: ReplayTrace) -> Dict[str, float]:
     """Global-perspective sequentiality of the merged reference string.
 
     Returns:
@@ -107,7 +146,7 @@ def sequentiality(trace: Trace) -> Dict[str, float]:
     * ``monotone_fraction`` — fraction of accesses that do not move the
       global high-water mark backwards by more than the window.
     """
-    refs = _blocks_in_time_order(trace)
+    refs = _merged_blocks(trace)
     if len(refs) < 2:
         return {"successor_fraction": 1.0, "monotone_fraction": 1.0}
     window = 32
@@ -131,12 +170,10 @@ def sequentiality(trace: Trace) -> Dict[str, float]:
     }
 
 
-def run_lengths(trace: Trace) -> Dict[int, List[int]]:
+def run_lengths(trace: ReplayTrace) -> Dict[int, List[int]]:
     """Sequential run lengths per node (a run = consecutive +1 blocks)."""
     out: Dict[int, List[int]] = {}
-    nodes = {r.node for r in trace.records}
-    for node in nodes:
-        blocks = [r.block for r in trace.by_node(node).time_sorted()]
+    for node, blocks in _blocks_by_node(trace).items():
         runs: List[int] = []
         current = 1
         for prev, cur in zip(blocks, blocks[1:]):
@@ -151,14 +188,14 @@ def run_lengths(trace: Trace) -> Dict[int, List[int]]:
     return out
 
 
-def reuse_distances(trace: Trace) -> List[int]:
+def reuse_distances(trace: ReplayTrace) -> List[int]:
     """LRU stack distances of the merged string (-1 = first reference).
 
     The paper's cache of 20 demand blocks can only exploit reuse at
     distances < 20; this profile shows why caching alone is useless for
     disjoint sequential patterns (all distances are -1) but good for lw.
     """
-    refs = _blocks_in_time_order(trace)
+    refs = _merged_blocks(trace)
     # The LRU stack mutates at its left end on every reference;
     # deque.appendleft is O(1) where list.insert(0, ...) shifts the
     # whole stack.  index() stays O(depth), which the measure needs
@@ -223,11 +260,10 @@ def _geometric_intervals(blocks: "set[int]") -> List[tuple]:
     return intervals
 
 
-def _per_node_sequentiality(trace: Trace) -> float:
+def _per_node_sequentiality(trace: ReplayTrace) -> float:
     """Mean fraction of each node's accesses that continue a run."""
     fractions = []
-    for node in {r.node for r in trace.records}:
-        blocks = [r.block for r in trace.by_node(node).time_sorted()]
+    for blocks in _blocks_by_node(trace).values():
         if len(blocks) < 2:
             continue
         seq = sum(1 for a, b in zip(blocks, blocks[1:]) if b == a + 1)
@@ -235,7 +271,7 @@ def _per_node_sequentiality(trace: Trace) -> float:
     return sum(fractions) / len(fractions) if fractions else 0.0
 
 
-def classify_pattern(trace: Trace) -> PatternClassification:
+def classify_pattern(trace: ReplayTrace) -> PatternClassification:
     """Place a recorded trace in the paper's Fig. 2 taxonomy.
 
     Heuristics (thresholds chosen to separate the paper's six patterns
@@ -270,9 +306,8 @@ def classify_pattern(trace: Trace) -> PatternClassification:
         scope = "local"
         interval_lengths: List[int] = []
         whole = True
-        for node in {r.node for r in records}:
-            blocks = {r.block for r in trace.by_node(node).records}
-            intervals = _geometric_intervals(blocks)
+        for node_blocks in _blocks_by_node(trace).values():
+            intervals = _geometric_intervals(set(node_blocks))
             interval_lengths.extend(hi - lo + 1 for lo, hi in intervals)
             if len(intervals) > 1:
                 whole = False

@@ -103,7 +103,6 @@ def chaos_config(
         file_blocks=_CHAOS_BLOCKS,
         total_reads=_CHAOS_READS,
         faults=faults,
-        record_trace=False,
     )
 
 

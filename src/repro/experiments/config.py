@@ -117,7 +117,9 @@ class ExperimentConfig:
 
     # Reproducibility / diagnostics.
     seed: int = 1
-    record_trace: bool = True
+    #: Record the run's replay trace into ``RunResult.trace``
+    #: (:mod:`repro.traces.recorder`; passive, so the run is unchanged).
+    record_trace: bool = False
 
     def __post_init__(self) -> None:
         check_field_types(self)

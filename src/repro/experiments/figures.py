@@ -539,7 +539,6 @@ def run_lead_sweep(
             total_reads=total,
             n_nodes=n_nodes,
             seed=seed,
-            record_trace=False,
         )
         configs.append(base_config.paired_baseline())
         for lead in leads:

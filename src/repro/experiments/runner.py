@@ -20,7 +20,7 @@ from ..fs.cache import BlockCache
 from ..fs.file import File
 from ..fs.fileserver import FileServer
 from ..fs.layout import HashedLayout, RoundRobinLayout, StripedLayout
-from ..fs.trace import Trace
+from ..fs.trace import ReplayTrace
 from ..machine.machine import Machine
 from ..machine.node import IdleKind
 from ..metrics.collector import RunMetrics
@@ -183,7 +183,8 @@ class RunResult:
 
     # Raw handles (not serialized in reports).
     metrics: RunMetrics = field(repr=False, default=None)  # type: ignore[assignment]
-    trace: Optional[Trace] = field(repr=False, default=None)
+    #: The run's recorded trace, when ``config.record_trace`` is set.
+    trace: Optional[ReplayTrace] = field(repr=False, default=None)
     fault_events: Optional[FaultEventLog] = field(repr=False, default=None)
 
     @property
@@ -281,10 +282,13 @@ def run_materialized(
     if instrument is not None:
         instrument.on_environment(env)
     rng = rng if rng is not None else RandomStreams(config.seed)
-    trace: Optional[Trace] = None
+    recorder = None
     if config.record_trace:
-        trace = Trace()
-        trace.tap(env)
+        # Imported on use: repro.traces imports this module.
+        from ..traces.recorder import ReplayRecorder
+
+        recorder = ReplayRecorder.for_run(config, pattern)
+        recorder.attach(env)
 
     machine = Machine(env, config.machine_config)
     if config.layout == "round-robin":
@@ -492,7 +496,7 @@ def run_materialized(
         retries_by_disk=dict(metrics.disk_retries),
         timeouts_by_disk=dict(metrics.disk_timeouts),
         metrics=metrics,
-        trace=trace,
+        trace=recorder.finish() if recorder is not None else None,
         fault_events=resilience.log if resilience is not None else None,
     )
 

@@ -142,7 +142,6 @@ class SoakSpec:
             n_disks=8,
             file_blocks=640,
             total_reads=640,
-            record_trace=False,
         )
     )
 

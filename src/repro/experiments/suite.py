@@ -83,7 +83,6 @@ class SuiteResults:
 def run_suite(
     seed: int = 1,
     specs: Optional[List[WorkloadSpec]] = None,
-    record_trace: bool = False,
     progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
     cache=None,
@@ -92,8 +91,6 @@ def run_suite(
 ) -> SuiteResults:
     """Run the full paired suite (92 simulations at the paper's mix).
 
-    ``record_trace=False`` by default: traces are only needed for the
-    offline-analysis experiments and cost memory across 92 runs.
     Additional keyword arguments override :class:`ExperimentConfig`
     fields on every cell (useful for scaled-down suites in tests).
 
@@ -106,9 +103,7 @@ def run_suite(
 
     specs = specs if specs is not None else standard_suite()
     configs = [
-        config_for_spec(
-            spec, seed=seed, record_trace=record_trace, **config_overrides
-        )
+        config_for_spec(spec, seed=seed, **config_overrides)
         for spec in specs
     ]
     paired = execute_pairs(configs, jobs=jobs, cache=cache, stats=stats)

@@ -9,7 +9,8 @@
 * :mod:`~repro.fs.fileserver` — the application-facing read/write paths;
 * :mod:`~repro.fs.writeback` — the write mode and dirty-ratio thresholds
   of the write path (docs/writes.md);
-* :mod:`~repro.fs.trace` — access-trace recording for offline analysis.
+* :mod:`~repro.fs.trace` — the trace format: recorded, synthesized and
+  imported workloads, for replay and offline analysis.
 """
 
 from .buffer import DATA_PRESENT, Buffer, BufferPool, BufferState
@@ -18,7 +19,7 @@ from .file import File
 from .fileserver import FileServer
 from .layout import FileLayout, HashedLayout, RoundRobinLayout, StripedLayout
 from .replacement import GlobalLRUPolicy, ReplacementPolicy, RUSetPolicy
-from .trace import Trace, TraceFormatError, TraceRecord
+from .trace import TraceFormatError
 from .writeback import WRITE_MODES, WritebackConfig
 
 __all__ = [
@@ -40,7 +41,5 @@ __all__ = [
     "FileServer",
     "WRITE_MODES",
     "WritebackConfig",
-    "Trace",
     "TraceFormatError",
-    "TraceRecord",
 ]

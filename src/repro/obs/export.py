@@ -196,25 +196,24 @@ def validate_perfetto(payload: Any) -> List[str]:
 def timelines_to_csv(timelines: TimelineRegistry) -> str:
     """Sampled series pivoted into one CSV: time column + one per series.
 
-    Every series is sampled at the same boundaries (a single sampler
-    snapshots them together), so rows align by sample index.  Each
-    series' samples are built once, before the row loop.
+    One row per sample the registry took, at its time.  A series
+    registered after sampling began holds the last ``len(series)``
+    samples, so its earlier cells stay blank.  Each series' samples are
+    built once, before the row loop.
     """
+    times = timelines.times
     all_series = timelines.series
-    columns = [series.samples for series in all_series]
+    columns = [
+        (len(times) - len(series), series.samples) for series in all_series
+    ]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["time_ms"] + [series.name for series in all_series])
-    n_rows = max((len(samples) for samples in columns), default=0)
-    for row in range(n_rows):
-        t = None
-        cells: List[Any] = []
-        for samples in columns:
-            if row < len(samples):
-                t, value = samples[row]
-                cells.append(value)
-            else:
-                cells.append("")
+    for row, t in enumerate(times):
+        cells: List[Any] = [
+            samples[row - first][1] if row >= first else ""
+            for first, samples in columns
+        ]
         writer.writerow([t] + cells)
     return out.getvalue()
 

@@ -229,6 +229,11 @@ class TimelineRegistry:
     # -- queries --------------------------------------------------------------
 
     @property
+    def times(self) -> List[float]:
+        """The sample times, one per :meth:`sample_all`; never append."""
+        return self._times
+
+    @property
     def series(self) -> List[Series]:
         """Every series, in registration order (gauges, counters, hists)."""
         out = list(self._gauges)

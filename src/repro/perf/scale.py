@@ -73,7 +73,6 @@ def run_scale_sweep(
             file_blocks=total,
             total_reads=total,
             seed=seed,
-            record_trace=False,
         )
         start = time.perf_counter()  # simlint: allow-wallclock
         result = run_experiment(config)

@@ -14,10 +14,12 @@ The lifecycle this package implements:
   from a trace: the workload comes from the file, the system behaviour
   (caching, prefetching, disk queueing, barrier waits) re-emerges live.
 
-See ``docs/traces.md`` for the format specification and CLI examples.
+The format itself lives in :mod:`repro.fs.trace`, a leaf module the
+runner imports eagerly.  See ``docs/traces.md`` for the format
+specification and CLI examples.
 """
 
-from .format import (
+from ..fs.trace import (
     REPLAY_TRACE_KIND,
     REPLAY_TRACE_VERSION,
     ReplayRecord,
@@ -25,7 +27,7 @@ from .format import (
     TraceMeta,
 )
 from .importer import import_csv_trace
-from .recorder import TraceRecorder, record_run
+from .recorder import ReplayRecorder, record_run
 from .replay import (
     ReplaySync,
     replay_application,
@@ -42,10 +44,10 @@ __all__ = [
     "REPLAY_TRACE_KIND",
     "REPLAY_TRACE_VERSION",
     "ReplayRecord",
+    "ReplayRecorder",
     "ReplaySync",
     "ReplayTrace",
     "TraceMeta",
-    "TraceRecorder",
     "import_csv_trace",
     "make_synthetic_trace",
     "record_run",

@@ -27,8 +27,12 @@ import csv
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..fs.trace import TraceFormatError
-from .format import ReplayRecord, ReplayTrace, TraceMeta
+from ..fs.trace import (
+    ReplayRecord,
+    ReplayTrace,
+    TraceFormatError,
+    TraceMeta,
+)
 
 __all__ = ["import_csv_trace"]
 

@@ -1,55 +1,55 @@
 """Record a replayable trace from a live simulation run.
 
-:class:`TraceRecorder` is a run instrumentation that subscribes to five
-probe points, all passive (no events, no randomness — a recorded run's
-event schedule is bit-for-bit identical to an unrecorded one):
+:class:`ReplayRecorder` subscribes to five probe points, all passive (no
+events, no randomness — a recorded run's event schedule is bit-for-bit
+identical to an unrecorded one):
 
 * ``fs.read`` / ``fs.write`` (the file server) — fire as each demand
   access completes, giving the observed outcome/latency/time;
 * ``app.claim``, ``app.compute`` and ``app.sync_joins`` (the application
-  loop in :mod:`repro.workload.application`) — giving the claimed
-  reference, the compute gap actually drawn, and the number of barrier
-  visits that followed.
+  loop in :mod:`repro.workload.application`, or its replay twin
+  :func:`repro.traces.replay.replay_application`) — giving the claimed
+  reference, the compute gap, and the number of barrier visits that
+  followed.
 
 Per node the two interleave strictly (one outstanding access per node:
 completion, then claim bookkeeping, then compute, then joins), so merging
 them is a constant-space pairing, not a post-hoc join.
 
-:func:`record_run` is the entry point: run any :class:`ExperimentConfig`
-and get back the usual :class:`~repro.experiments.runner.RunResult` plus
-the :class:`~repro.traces.format.ReplayTrace` that reproduces it.
+The runner attaches one recorder to a run whose
+:attr:`~repro.experiments.config.ExperimentConfig.record_trace` is set
+and returns its :class:`~repro.fs.trace.ReplayTrace` as
+``RunResult.trace``.  :func:`record_run` is the shorthand: run any
+config and get back the result and the trace that reproduces it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, cast
 
-from ..experiments.runner import (
-    RunResult,
-    materialize_pattern,
-    run_materialized,
+from ..experiments.runner import RunResult, run_experiment
+from ..fs.trace import (
+    ReplayRecord,
+    ReplayTrace,
+    TraceFormatError,
+    TraceMeta,
 )
-from ..fs.trace import TraceFormatError
-from ..sim.rng import RandomStreams
-from .format import ReplayRecord, ReplayTrace, TraceMeta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.config import ExperimentConfig
-    from ..fs.cache import BlockCache
-    from ..machine.machine import Machine
     from ..sim.core import Environment
     from ..workload.patterns import AccessPattern
 
-__all__ = ["TraceRecorder", "record_run"]
+__all__ = ["ReplayRecorder", "record_run"]
 
 
-class TraceRecorder:
+class ReplayRecorder:
     """Accumulates replay records while a run executes.
 
-    One recorder records one run: pass it as the ``instrument`` of
-    :func:`~repro.experiments.runner.run_materialized` and call
-    :meth:`finish` after the run completes.
+    One recorder records one run: :meth:`attach` it to the run's
+    environment before the applications start, and call :meth:`finish`
+    after the run completes.
     """
 
     def __init__(self, meta: TraceMeta) -> None:
@@ -60,23 +60,46 @@ class TraceRecorder:
         self._completed: Dict[int, Tuple[int, str, float, float]] = {}
         #: Per-node index of the record awaiting compute/sync annotation.
         self._open: Dict[int, int] = {}
-        #: Simulation environment, captured by :meth:`on_environment`.
+        #: Simulation environment, captured by :meth:`attach`.
         self._env: Optional["Environment"] = None
 
-    # -- RunInstrumentation hooks ------------------------------------------------
+    @classmethod
+    def for_run(
+        cls, config: "ExperimentConfig", pattern: "AccessPattern"
+    ) -> "ReplayRecorder":
+        """A recorder whose trace header describes ``config`` run over
+        ``pattern``."""
+        extra: Dict[str, Any] = {
+            "label": config.label,
+            "prefetch": config.prefetch,
+        }
+        if config.faults is not None:
+            # Provenance: the recorded timeline was shaped by this fault
+            # plan (replays may use a different one, or none).
+            extra["fault_plan_digest"] = config.faults.digest
+            extra["fault_plan_name"] = config.faults.name
+        return cls(
+            TraceMeta(
+                workload=config.pattern,
+                n_nodes=config.n_nodes,
+                file_blocks=config.file_blocks,
+                source="recorded",
+                seed=config.seed,
+                crosses_portions=pattern.crosses_portions,
+                sync_style=config.sync_style,
+                compute_mean=config.compute_mean,
+                extra=extra,
+            )
+        )
 
-    def on_environment(self, env: "Environment") -> None:
+    def attach(self, env: "Environment") -> None:
+        """Subscribe to ``env``'s access and application probe points."""
         self._env = env
         env.subscribe("fs.read", self._on_complete)
         env.subscribe("fs.write", self._on_complete)
         env.subscribe("app.claim", self._on_claim)
         env.subscribe("app.compute", self._on_compute)
         env.subscribe("app.sync_joins", self._on_sync_joins)
-
-    def on_wired(
-        self, env: "Environment", machine: "Machine", cache: "BlockCache"
-    ) -> None:
-        """Nothing to wire: every tap is a probe subscription."""
 
     # -- fs.read / fs.write ------------------------------------------------------
 
@@ -156,28 +179,9 @@ class TraceRecorder:
 def record_run(config: "ExperimentConfig") -> Tuple[RunResult, ReplayTrace]:
     """Run ``config`` while recording a replayable trace.
 
-    Returns ``(result, trace)``.  The run itself is unperturbed: the same
-    seed without a recorder executes the identical event schedule.
+    Returns ``(result, trace)``: :func:`run_experiment` with
+    ``record_trace`` set.  The run itself is unperturbed: the same seed
+    without a recorder executes the identical event schedule.
     """
-    rng = RandomStreams(config.seed)
-    pattern: "AccessPattern" = materialize_pattern(config, rng)
-    extra: dict = {"label": config.label, "prefetch": config.prefetch}
-    if config.faults is not None:
-        # Provenance: the recorded timeline was shaped by this fault
-        # plan (replays may use a different one, or none).
-        extra["fault_plan_digest"] = config.faults.digest
-        extra["fault_plan_name"] = config.faults.name
-    meta = TraceMeta(
-        workload=config.pattern,
-        n_nodes=config.n_nodes,
-        file_blocks=config.file_blocks,
-        source="recorded",
-        seed=config.seed,
-        crosses_portions=pattern.crosses_portions,
-        sync_style=config.sync_style,
-        compute_mean=config.compute_mean,
-        extra=extra,
-    )
-    recorder = TraceRecorder(meta)
-    result = run_materialized(pattern, config, rng, instrument=recorder)
-    return result, recorder.finish()
+    result = run_experiment(config.with_overrides(record_trace=True))
+    return result, cast(ReplayTrace, result.trace)

@@ -39,11 +39,10 @@ from ..experiments.runner import (
     RunResult,
     run_materialized,
 )
-from ..fs.trace import TraceFormatError
+from ..fs.trace import ReplayRecord, ReplayTrace, TraceFormatError
 from ..machine.node import IdleKind, Node
 from ..sim.rng import RandomStreams
 from ..workload.synchronization import SyncCoordinator
-from .format import ReplayRecord, ReplayTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fs.fileserver import FileServer
@@ -106,9 +105,14 @@ def replay_application(
     compute, synchronize — but the block order, ops, compute gaps, and
     sync visits come from ``timeline`` rather than a pattern and RNG, so a
     replayed run schedules the same event sequence the recorded run did.
+    It emits the same ``app.claim``, ``app.compute`` and
+    ``app.sync_joins`` probe points, so a replay records like a live run.
     """
     env = node.env
     node_id = node.node_id
+    on_claim = env.probe("app.claim")
+    on_compute = env.probe("app.compute")
+    on_sync_joins = env.probe("app.sync_joins")
 
     cpu = yield from node.acquire_cpu()
     while True:
@@ -128,14 +132,22 @@ def replay_application(
         else:
             cpu = yield from server.read_block(node, cpu, block, idx)
         tracker.mark_consumed(node_id, idx)
+        for fn in on_claim:
+            fn(node_id, idx, block, rec.portion, rec.op)
 
+        for fn in on_compute:
+            fn(node_id, rec.compute)
         if rec.compute > 0.0:
             yield env.timeout(rec.compute)
 
         sync.after_read(node_id, idx, rec.portion)
+        joins = 0
         while sync.owes(node_id):
             event = sync.join(node_id)
+            joins += 1
             _, cpu = yield from node.idle_wait(cpu, event, IdleKind.SYNC)
+        for fn in on_sync_joins:
+            fn(node_id, joins)
 
     sync.depart(node_id)
     node.release_cpu(cpu)

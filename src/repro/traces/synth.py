@@ -2,7 +2,7 @@
 
 The paper's workload mix (Fig. 2) is all steady-state: every process runs
 one access style at one intensity for the whole run.  These generators
-produce :class:`~repro.traces.format.ReplayTrace` workloads that break
+produce :class:`~repro.fs.trace.ReplayTrace` workloads that break
 that assumption — the shapes real parallel programs (and adversaries)
 actually exhibit:
 
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..sim.rng import RandomStreams
-from .format import ReplayRecord, ReplayTrace, TraceMeta
+from ..fs.trace import ReplayRecord, ReplayTrace, TraceMeta
 
 __all__ = ["GENERATOR_NAMES", "make_synthetic_trace"]
 

@@ -1,15 +1,17 @@
 """Dataclass fields checked against their annotations.
 
 :class:`~repro.experiments.config.ExperimentConfig`, the four fault
-specs and :class:`~repro.faults.plan.ResiliencePolicy` call
+specs, :class:`~repro.faults.plan.ResiliencePolicy` and the trace
+header's :class:`~repro.fs.trace.TraceMeta` call
 :func:`check_field_types` first in ``__post_init__``, so a mistyped
 value fails at construction with an error that names its field.  A
 field annotated ``float`` accepts an ``int``; a ``bool`` is never a
 number, though Python's ``bool`` is an ``int``; ``Optional[X]`` also
-accepts ``None``.  A subscripted generic such as ``Dict[str, int]`` is
-checked by its origin type (``dict``), then item by item, recursively:
-the keys and values of ``Dict[K, V]``, the items of ``List[X]`` and
-``Tuple[X, ...]``, and a fixed ``Tuple[A, B, C]`` by position.  An
+accepts ``None``; ``Any`` accepts every value.  A subscripted generic
+such as ``Dict[str, int]`` is checked by its origin type (``dict``),
+then item by item, recursively: the keys and values of ``Dict[K, V]``,
+the items of ``List[X]`` and ``Tuple[X, ...]``, and a fixed
+``Tuple[A, B, C]`` by position.  An
 item's error names its path, as in ``idle_by_kind['sync'][0]``.
 :func:`check_field_values` checks a mapping the same way before the
 dataclass is built, as the run cache does with its stored results.  The
@@ -40,6 +42,8 @@ def _parse(hint: Any) -> Tuple[Tuple[type, ...], bool, Tuple[Any, ...]]:
 
 
 def _check(name: str, value: Any, hint: Any) -> None:
+    if hint is Any:
+        return
     types, optional, args = _parse(hint)
     if value is None and optional:
         return

@@ -5,20 +5,23 @@ import pytest
 from repro.experiments.analysis import (
     lru_hit_ratio,
     opt_hit_ratio,
+    outcome_counts,
     reuse_distances,
     run_lengths,
     sequentiality,
 )
-from repro.fs import Trace, TraceRecord
+from repro.fs.trace import ReplayRecord, ReplayTrace, TraceMeta
+
+META = TraceMeta(workload="unit", n_nodes=4, file_blocks=10_000)
 
 
 def make_trace(accesses):
     """accesses: list of (time, node, block)."""
-    return Trace(
-        TraceRecord(time=float(t), node=n, block=b, outcome="miss",
-                    latency=1.0)
+    return ReplayTrace(META, (
+        ReplayRecord(node=n, block=b, time=float(t), outcome="miss",
+                     latency=1.0)
         for t, n, b in accesses
-    )
+    ))
 
 
 def sequential_trace(n=20, node=0):
@@ -106,6 +109,30 @@ def test_run_lengths_per_node():
 def test_reuse_distances():
     trace = make_trace([(0, 0, 1), (1, 0, 2), (2, 0, 1), (3, 0, 1)])
     assert reuse_distances(trace) == [-1, -1, 1, 0]
+
+
+def test_outcome_counts():
+    trace = ReplayTrace(META, [
+        ReplayRecord(node=0, block=0, outcome="miss"),
+        ReplayRecord(node=0, block=1, op="w", outcome="ready"),
+        ReplayRecord(node=1, block=2),
+        ReplayRecord(node=1, block=0, outcome="miss"),
+    ])
+    assert outcome_counts(trace) == {
+        "ready": 0, "unready": 0, "miss": 2, "write-ready": 1,
+        "unrecorded": 1,
+    }
+
+
+def test_untimed_trace_is_read_in_file_order():
+    # A synthetic trace has no times: node 0's timeline, then node 1's.
+    trace = ReplayTrace(META, [
+        ReplayRecord(node=0, block=0), ReplayRecord(node=0, block=1),
+        ReplayRecord(node=1, block=5), ReplayRecord(node=1, block=6),
+    ])
+    assert reuse_distances(trace) == [-1] * 4
+    assert run_lengths(trace) == {0: [2], 1: [2]}
+    assert sequentiality(trace)["successor_fraction"] == pytest.approx(2 / 3)
 
 
 def test_analysis_on_simulated_run():

@@ -4,14 +4,17 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.analysis import classify_pattern
-from repro.fs import Trace, TraceRecord
+from repro.fs.trace import ReplayRecord, ReplayTrace, TraceMeta
 
 
 def make_trace(accesses):
-    return Trace(
-        TraceRecord(time=float(t), node=n, block=b, outcome="miss",
-                    latency=1.0)
-        for t, n, b in accesses
+    return ReplayTrace(
+        TraceMeta(workload="unit", n_nodes=4, file_blocks=10_000),
+        (
+            ReplayRecord(node=n, block=b, time=float(t), outcome="miss",
+                         latency=1.0)
+            for t, n, b in accesses
+        ),
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.obs import (
+    TimelineRegistry,
     render_ascii,
     run_with_obs,
     spans_to_csv,
@@ -77,6 +78,17 @@ def test_timelines_csv_rows_align(observed):
     widths = {len(line.split(",")) for line in lines}
     assert widths == {len(header)}
     assert len(lines) > 2  # at least a couple of sample rows
+
+
+def test_timelines_csv_places_a_late_series_by_its_first_sample():
+    registry = TimelineRegistry()
+    registry.register_gauge("a", lambda: 1.0)
+    registry.sample_all(50.0)
+    registry.register_gauge("late", lambda: 7.0)
+    registry.sample_all(100.0)
+    assert timelines_to_csv(registry) == (
+        "time_ms,a,late\n50.0,1.0,\n100.0,1.0,7.0\n"
+    )
 
 
 def test_spans_csv_has_every_span(observed):

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.fs.trace import TraceFormatError
 from repro.traces import (
@@ -222,3 +224,115 @@ def test_stats_shape():
     assert stats["sync_joins"] == 1
     assert stats["compute_total"] == pytest.approx(3.5)
     assert stats["sequentiality"] == pytest.approx(1.0)  # 3 -> 4
+
+
+def write_header(path, version=2, **meta):
+    """A header whose meta is a small valid one with ``meta`` on top,
+    then one valid record."""
+    header = {
+        "format": "rapid-transit-trace", "kind": "replay",
+        "version": version,
+        "meta": {"workload": "x", "n_nodes": 2, "file_blocks": 4, **meta},
+    }
+    path.write_text(json.dumps(header) + '\n{"node":0,"block":1}\n')
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_nodes", "3"), ("file_blocks", None), ("n_nodes", 2.5),
+     ("crosses_portions", "no"), ("workload", 5), ("extra", [1])],
+)
+def test_load_rejects_mistyped_meta_field(tmp_path, field, value):
+    # Unchecked, the first three died with a bare TypeError, and the
+    # rest loaded ("no" as a truthy crosses_portions).
+    path = tmp_path / "t.jsonl"
+    write_header(path, **{field: value})
+    with pytest.raises(TraceFormatError) as err:
+        ReplayTrace.load(path)
+    assert str(err.value).startswith(
+        f"{path}:1: trace meta field {field} must be "
+    )
+
+
+def test_load_rejects_bool_version(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_header(path, version=True)
+    with pytest.raises(TraceFormatError) as err:
+        ReplayTrace.load(path)
+    assert str(err.value) == (
+        f"{path}:1: unsupported replay trace version True "
+        "(this build reads versions 1..2)"
+    )
+
+
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "t.jsonl"
+    small_trace().save(path)
+    path.write_bytes(path.read_bytes() + b'{"node":0,"block":\xff}\n')
+    with pytest.raises(TraceFormatError, match=f"^{path}:5: not UTF-8"):
+        ReplayTrace.load(path)
+
+
+@pytest.mark.parametrize(
+    "value", ["[" * 100_000, "1" * 5000], ids=["deep", "long-int"]
+)
+def test_load_rejects_json_the_parser_cannot_hold(tmp_path, value):
+    path = tmp_path / "t.jsonl"
+    small_trace().save(path)
+    with path.open("a") as fh:
+        fh.write(f'{{"node":0,"block":{value}}}\n')
+    with pytest.raises(TraceFormatError, match=f"^{path}:5: invalid JSON"):
+        ReplayTrace.load(path)
+
+
+#: Values a fuzzed field is retyped to.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_load_of_a_mutated_trace_is_valid_or_a_format_error(tmp_path, data):
+    """Drop or retype a header, meta or record field, truncate or
+    duplicate a line, or inject bytes: the loader returns a valid trace
+    or raises TraceFormatError naming the file, nothing else."""
+    path = tmp_path / "t.jsonl"
+    small_trace().save(path)
+    objs = [json.loads(line) for line in path.read_text().splitlines()]
+    mutation = data.draw(st.sampled_from(
+        ["drop", "retype", "truncate", "duplicate", "inject"]
+    ))
+    i = data.draw(st.integers(0, len(objs) - 1))
+    if mutation in ("drop", "retype"):
+        target = objs[i]
+        if i == 0 and data.draw(st.booleans()):
+            target = target["meta"]
+        key = data.draw(st.sampled_from(sorted(target)))
+        if mutation == "drop":
+            del target[key]
+        else:
+            target[key] = data.draw(_JSON_VALUES)
+    lines = [json.dumps(obj).encode() for obj in objs]
+    if mutation == "truncate":
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+    elif mutation == "duplicate":
+        lines.insert(i, lines[i])
+    blob = b"\n".join(lines) + b"\n"
+    if mutation == "inject":
+        at = data.draw(st.integers(0, len(blob)))
+        blob = blob[:at] + data.draw(st.binary(min_size=1, max_size=4)) + (
+            blob[at:]
+        )
+    path.write_bytes(blob)
+    try:
+        trace = ReplayTrace.load(path)
+    except TraceFormatError as exc:
+        assert str(path) in str(exc)
+    else:
+        trace.validate()

@@ -6,6 +6,8 @@ per-node block sequence *exactly*, the hit ratio exactly, and total time
 within 1%; and a replayed run passes the determinism audit.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -18,7 +20,11 @@ from repro.traces import (
     run_replay,
 )
 
-SMALL = dict(n_nodes=4, n_disks=4, file_blocks=400, total_reads=400, seed=11)
+# record_trace: replays of these configs record too (per_node_blocks).
+SMALL = dict(
+    n_nodes=4, n_disks=4, file_blocks=400, total_reads=400, seed=11,
+    record_trace=True,
+)
 
 
 def small_config(pattern, sync="none", **kw):
@@ -64,12 +70,48 @@ def test_record_replay_fidelity(pattern, sync):
 def test_recording_does_not_perturb_the_run():
     """A recorded run and a bare run of the same config are identical."""
     from repro.experiments.runner import run_experiment
+    from repro.perf.serialize import result_to_dict
 
     config = small_config("gfp", "portion")
-    bare = run_experiment(config)
+    bare = run_experiment(config.with_overrides(record_trace=False))
     recorded, _ = record_run(config)
-    assert recorded.total_time == bare.total_time
-    assert per_node_blocks(recorded) == per_node_blocks(bare)
+    assert bare.trace is None
+    assert result_to_dict(recorded) == result_to_dict(bare)
+
+
+#: Ten pattern/sync cells, each recorded with prefetch off and on.
+_RERECORD_CELLS = [
+    ("gw", "none"), ("gw", "per-proc"), ("gfp", "portion"),
+    ("grp", "total"), ("lw", "per-proc"), ("lfp", "portion"),
+    ("lrp", "none"), ("gw-rw", "none"), ("lfp-rw", "per-proc"),
+    ("wstream", "none"),
+]
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+@pytest.mark.parametrize("pattern,sync", _RERECORD_CELLS)
+def test_record_replay_record_reproduces_the_trace(pattern, sync, prefetch):
+    """A replay records the workload it replayed: every node's accesses,
+    gaps, portions and barrier visits come back.  With prefetch off the
+    run itself comes back, so every record matches, with its time,
+    outcome and latency."""
+    config = small_config(pattern, sync).with_overrides(prefetch=prefetch)
+    _, trace = record_run(config)
+    again = run_replay(trace, replay_config(trace, config)).trace
+
+    def workload(t):
+        return [
+            [(r.node, r.block, r.compute, r.portion, r.sync_joins, r.op)
+             for r in timeline]
+            for timeline in t.timelines()
+        ]
+
+    assert workload(again) == workload(trace)
+    if not prefetch:
+        # A replay's ref_index counts along the node's own timeline.
+        assert [replace(r, ref_index=-1) for r in again] == [
+            replace(r, ref_index=-1) for r in trace
+        ]
 
 
 def test_replay_survives_disk_roundtrip(tmp_path):

@@ -1,7 +1,8 @@
 """Tests for the synthetic application process."""
 
-from repro.fs import Trace
+from repro.fs.trace import TraceMeta
 from repro.sim import RandomStreams
+from repro.traces import ReplayRecorder
 from repro.workload import (
     ProgressTracker,
     application,
@@ -14,12 +15,12 @@ from ..helpers import build_stack
 
 def run_workload(pattern_name="gw", sync_style="none", n_nodes=2,
                  total_reads=10, file_blocks=10, compute_mean=0.0,
-                 per_proc_k=10, seed=1, trace=None):
+                 per_proc_k=10, seed=1, recorder=None):
     env, machine, file, cache, server, metrics = build_stack(
         n_nodes=n_nodes, n_disks=n_nodes, file_blocks=file_blocks
     )
-    if trace is not None:
-        trace.tap(env)
+    if recorder is not None:
+        recorder.attach(env)
     rng = RandomStreams(seed)
     pattern = make_pattern(
         pattern_name, n_nodes=n_nodes, total_reads=total_reads,
@@ -104,11 +105,13 @@ def test_deterministic_replay():
 
 
 def test_reads_follow_local_string_order():
-    trace = Trace()
+    recorder = ReplayRecorder(
+        TraceMeta(workload="lfp", n_nodes=2, file_blocks=100)
+    )
     run_workload(
         pattern_name="lfp", n_nodes=2, total_reads=20, file_blocks=100,
-        trace=trace,
+        recorder=recorder,
     )
     pattern = make_pattern("lfp", n_nodes=2, total_reads=20, file_blocks=100)
-    trace0 = trace.by_node(0).time_sorted()
+    trace0 = recorder.finish().timelines()[0]
     assert [r.block for r in trace0] == [int(b) for b in pattern.strings[0]]
