@@ -111,14 +111,14 @@ def run_with_policy(policy: Optional[PrefetchPolicy], seed: int = 1):
     )
     tracker = ProgressTracker(pattern, n_nodes)
     metrics = RunMetrics(env, n_nodes)
-    cache = BlockCache(env, machine, file, CacheConfig(), metrics)
+    cache = BlockCache(env, machine, file, CacheConfig())
     server = FileServer(cache)
     sync = make_sync("per-proc", env, n_nodes, pattern)
 
     if policy is not None:
         policy.bind(cache)
         for node in machine.nodes:
-            prefetch_daemon(node, cache, policy, metrics)
+            prefetch_daemon(node, cache, policy)
 
     apps = [
         env.process(

@@ -537,8 +537,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    import inspect
-
     fig_id = args.id
     cache = _open_cache(args)
     if fig_id in SUITE_FIGURES:
@@ -549,15 +547,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         fig = LEAD_FIGURES[fig_id](sweep)
     else:
         generator = {**STANDALONE_FIGURES, **CHAOS_FIGURES}[fig_id]
-        # Generators batching independent runs take jobs/cache; the
-        # seed-only ones (findings, extensions) run as they always have.
-        kwargs = {}
-        accepted = inspect.signature(generator).parameters
-        if "jobs" in accepted:
-            kwargs["jobs"] = args.jobs
-        if "cache" in accepted:
-            kwargs["cache"] = cache
-        fig = generator(seed=args.seed, **kwargs)
+        fig = generator(seed=args.seed, jobs=args.jobs, cache=cache)
     _print_figure(fig, scatter=args.scatter)
     if cache is not None:
         print(cache.summary())
@@ -723,11 +713,12 @@ def _cmd_trace_synth(args: argparse.Namespace) -> int:
 def _cmd_trace_import(args: argparse.Namespace) -> int:
     from .traces import import_csv_trace
 
-    trace = import_csv_trace(
-        args.csv,
-        workload=args.workload,
-        file_blocks=args.file_blocks,
-    )
+    def load(path: str):
+        return import_csv_trace(
+            path, workload=args.workload, file_blocks=args.file_blocks
+        )
+
+    trace = _read(load, args.csv)
     trace.save(args.output)
     extra = trace.meta.extra
     notes = []

@@ -28,7 +28,7 @@ __all__ = [
 
 
 def ablation_numa_layout(
-    seed: int = 1, jobs: int = 1, cache=None
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Replicated (optimized) vs naive shared-structure placement.
 
@@ -104,7 +104,7 @@ def ablation_numa_layout(
 
 
 def ablation_replacement(
-    seed: int = 1, jobs: int = 1, cache=None
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """RU-set (paper) vs global-LRU replacement.
 
@@ -160,7 +160,7 @@ def ablation_replacement(
 
 
 def ablation_file_layout(
-    seed: int = 1, jobs: int = 1, cache=None
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Round-robin interleaving vs striping vs hashed placement.
 

@@ -107,7 +107,7 @@ def chaos_config(
 
 
 def chaos_prefetch_under_faults(
-    seed: int = 1, jobs: int = 1, cache=None
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Sweep transient-error intensity across the paper's six patterns."""
     from ..perf.executor import execute_pairs
@@ -194,7 +194,7 @@ def chaos_prefetch_under_faults(
 
 
 def chaos_fail_stop(
-    pattern: str = "lfp", seed: int = 1, jobs: int = 1, cache=None
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """One disk fail-stops mid-run and later recovers.
 
@@ -212,6 +212,7 @@ def chaos_fail_stop(
     """
     from ..perf.executor import execute_runs
 
+    pattern = "lfp"
     healthy = execute_runs(
         [chaos_config(pattern, 0.0, seed=seed)], cache=cache
     )[0]
@@ -283,7 +284,7 @@ def chaos_fail_stop(
 
 
 def chaos_writeback_fail_slow(
-    pattern: str = "lfp-rw", seed: int = 1, jobs: int = 1, cache=None
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """One disk fail-slows mid-run while a read-write workload dirties
     the cache: writeback traffic must survive the slowdown.
@@ -301,6 +302,7 @@ def chaos_writeback_fail_slow(
     """
     from ..perf.executor import execute_runs
 
+    pattern = "lfp-rw"
     healthy = execute_runs(
         [chaos_config(pattern, 0.0, seed=seed)], cache=cache
     )[0]

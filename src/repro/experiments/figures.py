@@ -405,11 +405,7 @@ def fig11_hitratio_vs_reduction(suite: SuiteResults) -> FigureData:
 
 
 def fig12_compute_sweep(
-    seed: int = 1,
-    compute_means: Sequence[float] = (0.0, 5.0, 10.0, 20.0, 30.0, 45.0,
-                                      60.0, 90.0, 120.0),
-    jobs: int = 1,
-    cache=None,
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Fig. 12: total-time improvement vs per-block computation (gw,
     sync every 10 blocks/processor).
@@ -421,6 +417,7 @@ def fig12_compute_sweep(
     """
     from ..perf.executor import execute_pairs
 
+    compute_means = (0.0, 5.0, 10.0, 20.0, 30.0, 45.0, 60.0, 90.0, 120.0)
     configs = [
         ExperimentConfig(
             pattern="gw",

@@ -7,16 +7,20 @@
 * Fig. 1 — the uneven-benefit pathology behind the lfp slowdowns;
 * Extensions (paper Section VI future work): on-the-fly predictors vs the
   oracle, and a processor/disk scalability sweep.
+
+Each generator takes ``(seed, *, jobs, cache)`` and batches its runs
+through :mod:`repro.perf.executor`, so ``jobs`` fans them out over worker
+processes and ``cache`` memoizes them; ext-hybrid alone runs in process
+(see its docstring).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..metrics.stats import percent_reduction
 from .config import ExperimentConfig
 from .figures import FigureData
-from .runner import run_experiment
 from .suite import SuiteResults
 
 __all__ = [
@@ -32,8 +36,7 @@ __all__ = [
 
 
 def vd_min_prefetch_time(
-    seed: int = 1,
-    min_times: Sequence[float] = (0.0, 3.0, 6.0, 12.0, 24.0),
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Section V-D: vary the minimum-prefetch-time throttle on gw.
 
@@ -41,15 +44,24 @@ def vd_min_prefetch_time(
     total/read time because the hit ratio steadily degrades — an
     unproductive idea.
     """
+    from ..perf.executor import execute_runs
+
+    min_times = (0.0, 3.0, 6.0, 12.0, 24.0)
+    batch = execute_runs(
+        [
+            ExperimentConfig(
+                pattern="gw",
+                sync_style="per-proc",
+                seed=seed,
+                min_prefetch_time=min_t,
+            )
+            for min_t in min_times
+        ],
+        jobs=jobs,
+        cache=cache,
+    )
     rows = []
-    for min_t in min_times:
-        config = ExperimentConfig(
-            pattern="gw",
-            sync_style="per-proc",
-            seed=seed,
-            min_prefetch_time=min_t,
-        )
-        r = run_experiment(config)
+    for min_t, r in zip(min_times, batch):
         rows.append(
             (
                 min_t,
@@ -83,33 +95,39 @@ def vd_min_prefetch_time(
 
 
 def vf_buffer_count(
-    seed: int = 1,
-    buffer_counts: Sequence[int] = (1, 2, 3, 5),
-    patterns: Sequence[str] = ("gw", "lw", "lfp"),
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Section V-F: prefetch buffers per process.
 
     Paper: one buffer per process gives smaller improvements for all
     patterns; in the 2-5 range the choice has a minor impact.
     """
-    rows = []
-    totals: Dict[str, Dict[int, float]] = {}
-    for pattern in patterns:
-        totals[pattern] = {}
-        for n_buffers in buffer_counts:
-            config = ExperimentConfig(
+    from ..perf.executor import execute_runs
+
+    buffer_counts = (1, 2, 3, 5)
+    patterns = ("gw", "lw", "lfp")
+    cells = [(p, n) for p in patterns for n in buffer_counts]
+    batch = execute_runs(
+        [
+            ExperimentConfig(
                 pattern=pattern,
                 sync_style="per-proc",
                 compute_mean=10.0 if pattern == "lw" else 30.0,
                 seed=seed,
                 prefetch_buffers_per_node=n_buffers,
             )
-            r = run_experiment(config)
-            totals[pattern][n_buffers] = r.total_time
-            rows.append(
-                (pattern, n_buffers, r.total_time, r.avg_read_time,
-                 r.hit_ratio)
-            )
+            for pattern, n_buffers in cells
+        ],
+        jobs=jobs,
+        cache=cache,
+    )
+    rows = []
+    totals: Dict[str, Dict[int, float]] = {p: {} for p in patterns}
+    for (pattern, n_buffers), r in zip(cells, batch):
+        totals[pattern][n_buffers] = r.total_time
+        rows.append(
+            (pattern, n_buffers, r.total_time, r.avg_read_time, r.hit_ratio)
+        )
     checks = {}
     for pattern in patterns:
         t = totals[pattern]
@@ -194,7 +212,7 @@ def vf_pattern_breakdown(suite: SuiteResults) -> FigureData:
 
 
 def fig1_uneven_benefit(
-    seed: int = 1, n_seeds: int = 3
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Fig. 1's pathology, measured: prefetching's benefit is unevenly
     distributed across processes in local patterns.
@@ -204,14 +222,20 @@ def fig1_uneven_benefit(
     times with and without prefetching.  The paper explains the observed
     lfp slowdowns by exactly this imbalance plus barrier amplification.
     """
+    from ..perf.executor import execute_pairs
+
+    seeds = range(seed, seed + 3)
+    paired = execute_pairs(
+        [
+            ExperimentConfig(pattern="lfp", sync_style="per-proc", seed=s)
+            for s in seeds
+        ],
+        jobs=jobs,
+        cache=cache,
+    )
     rows = []
     imb_pf, imb_base = [], []
-    for s in range(seed, seed + n_seeds):
-        config = ExperimentConfig(
-            pattern="lfp", sync_style="per-proc", seed=s
-        )
-        pf = run_experiment(config)
-        base = run_experiment(config.paired_baseline())
+    for s, (pf, base) in zip(seeds, paired):
         imb_pf.append(pf.benefit_imbalance)
         imb_base.append(base.benefit_imbalance)
         rows.append(
@@ -249,38 +273,48 @@ def fig1_uneven_benefit(
     )
 
 
-def ext_predictor_comparison(seed: int = 1) -> FigureData:
+def ext_predictor_comparison(
+    seed: int = 1, *, jobs: int = 1, cache=None
+) -> FigureData:
     """Extension A: on-the-fly predictors vs the oracle (Section VI).
 
     gw is the friendliest case for a global detector; lfp for the portion
     learner.  The oracle bounds them from above; no-prefetch from below.
     """
+    from ..perf.executor import execute_runs
+
     cells = [
-        ("gw", ["null-baseline", "oracle", "global-seq", "obl"]),
-        ("lfp", ["null-baseline", "oracle", "portion", "obl"]),
-        ("gfp", ["null-baseline", "oracle", "global-portion", "global-seq"]),
+        (pattern, policy)
+        for pattern, policies in (
+            ("gw", ["null-baseline", "oracle", "global-seq", "obl"]),
+            ("lfp", ["null-baseline", "oracle", "portion", "obl"]),
+            ("gfp", ["null-baseline", "oracle", "global-portion",
+                     "global-seq"]),
+        )
+        for policy in policies
     ]
+    configs = []
+    for pattern, policy in cells:
+        overrides = (
+            {"prefetch": False}
+            if policy == "null-baseline"
+            else {"policy": policy}
+        )
+        configs.append(
+            ExperimentConfig(
+                pattern=pattern, sync_style="per-proc", seed=seed,
+                **overrides,
+            )
+        )
+    batch = execute_runs(configs, jobs=jobs, cache=cache)
     rows = []
     totals: Dict[str, Dict[str, float]] = {}
-    for pattern, policies in cells:
-        totals[pattern] = {}
-        for policy in policies:
-            if policy == "null-baseline":
-                config = ExperimentConfig(
-                    pattern=pattern, sync_style="per-proc", seed=seed,
-                    prefetch=False,
-                )
-            else:
-                config = ExperimentConfig(
-                    pattern=pattern, sync_style="per-proc", seed=seed,
-                    policy=policy,
-                )
-            r = run_experiment(config)
-            totals[pattern][policy] = r.total_time
-            rows.append(
-                (pattern, policy, r.total_time, r.avg_read_time,
-                 r.hit_ratio, r.blocks_prefetched)
-            )
+    for (pattern, policy), r in zip(cells, batch):
+        totals.setdefault(pattern, {})[policy] = r.total_time
+        rows.append(
+            (pattern, policy, r.total_time, r.avg_read_time,
+             r.hit_ratio, r.blocks_prefetched)
+        )
     return FigureData(
         figure_id="ext-predictors",
         title="On-the-fly predictors vs oracle prefetching",
@@ -309,31 +343,36 @@ def ext_predictor_comparison(seed: int = 1) -> FigureData:
 
 
 def ext_scalability(
-    seed: int = 1,
-    node_counts: Sequence[int] = (4, 8, 16, 32),
-    reads_per_node: int = 100,
+    seed: int = 1, *, jobs: int = 1, cache=None
 ) -> FigureData:
     """Extension B: scalability in processors/disks (Section VI).
 
-    gw with one disk per processor and a proportionally larger file; the
-    question is whether prefetching's benefit persists as the machine
-    grows.
+    gw with one disk per processor and a proportionally larger file (100
+    reads per processor); the question is whether prefetching's benefit
+    persists as the machine grows.
     """
+    from ..perf.executor import execute_pairs
+
+    node_counts = (4, 8, 16, 32)
+    paired = execute_pairs(
+        [
+            ExperimentConfig(
+                pattern="gw",
+                sync_style="per-proc",
+                seed=seed,
+                n_nodes=n,
+                n_disks=n,
+                file_blocks=100 * n,
+                total_reads=100 * n,
+            )
+            for n in node_counts
+        ],
+        jobs=jobs,
+        cache=cache,
+    )
     rows = []
     reductions = []
-    for n in node_counts:
-        total = reads_per_node * n
-        config = ExperimentConfig(
-            pattern="gw",
-            sync_style="per-proc",
-            seed=seed,
-            n_nodes=n,
-            n_disks=n,
-            file_blocks=total,
-            total_reads=total,
-        )
-        pf = run_experiment(config)
-        base = run_experiment(config.paired_baseline())
+    for n, (pf, base) in zip(node_counts, paired):
         red = percent_reduction(base.total_time, pf.total_time)
         reductions.append(red)
         rows.append(
@@ -351,7 +390,9 @@ def ext_scalability(
     )
 
 
-def ext_hybrid_patterns(seed: int = 1) -> FigureData:
+def ext_hybrid_patterns(
+    seed: int = 1, *, jobs: int = 1, cache=None
+) -> FigureData:
     """Extension C: hybrid access patterns (paper Section IV-B aside).
 
     Half the processors replay an lfp-style private-portion scan while the
@@ -363,6 +404,10 @@ def ext_hybrid_patterns(seed: int = 1) -> FigureData:
     prefetched-unused budget, so its read times improve strongly while the
     shared (lw) half — which in a pure run benefits most of all patterns —
     is starved and barely improves.
+
+    The pattern is built by hand, and a run-cache key digests only a
+    config, so the pair runs in process: ``jobs`` and ``cache`` are
+    accepted for a uniform signature and ignored.
     """
     from ..sim.rng import RandomStreams
     from ..workload.patterns import make_hybrid
@@ -431,7 +476,9 @@ def ext_hybrid_patterns(seed: int = 1) -> FigureData:
     )
 
 
-def ext_disk_sensitivity(seed: int = 1) -> FigureData:
+def ext_disk_sensitivity(
+    seed: int = 1, *, jobs: int = 1, cache=None
+) -> FigureData:
     """Extension D: does the prefetching win survive irregular disks?
 
     The paper fixes every disk access at exactly 30 ms.  Real drives
@@ -441,17 +488,23 @@ def ext_disk_sensitivity(seed: int = 1) -> FigureData:
     (prefetching substantially reduces total time) is not an artifact of
     perfectly regular disks.
     """
+    from ..perf.executor import execute_pairs
+
+    models = ("fixed", "jittered", "seek")
+    paired = execute_pairs(
+        [
+            ExperimentConfig(
+                pattern="gw", sync_style="per-proc", seed=seed,
+                disk_model=model,
+            )
+            for model in models
+        ],
+        jobs=jobs,
+        cache=cache,
+    )
     rows = []
     reductions = {}
-    for model in ("fixed", "jittered", "seek"):
-        config = ExperimentConfig(
-            pattern="gw",
-            sync_style="per-proc",
-            seed=seed,
-            disk_model=model,
-        )
-        pf = run_experiment(config)
-        base = run_experiment(config.paired_baseline())
+    for model, (pf, base) in zip(models, paired):
         red = percent_reduction(base.total_time, pf.total_time)
         reductions[model] = red
         rows.append(

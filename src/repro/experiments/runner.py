@@ -300,11 +300,11 @@ def run_materialized(
     file = File("data", config.file_blocks, layout)
     tracker = ProgressTracker(pattern, config.n_nodes)
     metrics = RunMetrics(env, config.n_nodes)
-    cache = BlockCache(env, machine, file, config.cache_config, metrics)
+    cache = BlockCache(env, machine, file, config.cache_config)
     server = FileServer(cache)
     resilience: Optional[ResilienceLayer] = None
     if config.faults is not None:
-        resilience = ResilienceLayer(env, config.faults, machine, rng, metrics)
+        resilience = ResilienceLayer(env, config.faults, machine, rng)
         cache.resilience = resilience
     if sync_factory is not None:
         sync = sync_factory(env, pattern)
@@ -323,9 +323,7 @@ def run_materialized(
         policy = _build_policy(config, pattern, tracker)
         policy.bind(cache)
         for node in machine.nodes:
-            prefetch_daemon(
-                node, cache, policy, metrics, config.min_prefetch_time
-            )
+            prefetch_daemon(node, cache, policy, config.min_prefetch_time)
 
     # Write path: armed only when the pattern actually writes, so
     # read-only runs are event-for-event identical to the pre-write
@@ -334,7 +332,7 @@ def run_materialized(
         cache.configure_writeback(config.writeback_config)
         if config.write_mode == "write-back":
             for node in machine.nodes:
-                writeback_daemon(node, cache, metrics)
+                writeback_daemon(node, cache)
 
     if instrument is not None:
         instrument.on_wired(env, machine, cache)
@@ -443,7 +441,7 @@ def run_materialized(
         sync_wait_count=metrics.sync_waits.count,
         overrun_mean=overrun_mean,
         overrun_total=overrun_total,
-        blocks_demand_fetched=metrics.blocks_demand_fetched,
+        blocks_demand_fetched=metrics.misses,
         blocks_prefetched=metrics.blocks_prefetched,
         total_accesses=metrics.total_accesses,
         prefetch_action_mean=metrics.prefetch_action_mean,
@@ -468,10 +466,10 @@ def run_materialized(
         write_p99=metrics.write_times.percentile(99.0)
         if metrics.write_times.count
         else 0.0,
-        dirty_peak=metrics.dirty_peak,
-        flush_count=metrics.flush_count,
-        flushes_by_reason=dict(metrics.flushes_by_reason),
-        flush_failures=metrics.flush_failures,
+        dirty_peak=cache.dirty_peak,
+        flush_count=sum(cache.flushes_by_reason.values()),
+        flushes_by_reason=dict(cache.flushes_by_reason),
+        flush_failures=cache.flush_failures,
         throttle_stall_time=metrics.throttle_stall_time,
         throttle_stall_count=metrics.throttle_stalls.count,
         flush_outcomes=dict(metrics.flush_outcomes),

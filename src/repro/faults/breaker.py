@@ -32,7 +32,6 @@ from .events import FaultEventLog
 from .plan import ResiliencePolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..metrics.collector import RunMetrics
     from ..sim.core import Environment
 
 __all__ = ["BreakerState", "CircuitBreaker"]
@@ -61,13 +60,11 @@ class CircuitBreaker:
         disk_id: int,
         policy: ResiliencePolicy,
         log: FaultEventLog,
-        metrics: "RunMetrics",
     ) -> None:
         self.env = env
         self.disk_id = disk_id
         self.policy = policy
         self.log = log
-        self.metrics = metrics
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         #: Times the breaker tripped (CLOSED/HALF_OPEN -> OPEN).
@@ -155,9 +152,6 @@ class CircuitBreaker:
             self._degraded_since = None
         self.log.record(
             "breaker", self.disk_id, detail=f"{old.value}->{new.value}"
-        )
-        self.metrics.record_breaker_transition(
-            self.disk_id, old.value, new.value
         )
         for fn in self._on_signal:
             fn(_BREAKER_SIGNAL[new], self.disk_id)

@@ -48,7 +48,6 @@ from .plan import FaultPlan
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..machine.disk import Disk, RequestKind
     from ..machine.machine import Machine
-    from ..metrics.collector import RunMetrics
     from ..sim.core import Environment
     from ..sim.rng import RandomStreams
 
@@ -78,7 +77,6 @@ class ResilienceLayer:
         plan: FaultPlan,
         machine: "Machine",
         streams: "RandomStreams",
-        metrics: "RunMetrics",
         detector: Optional[FailSlowConfig] = None,
     ) -> None:
         plan.validate_for(machine.n_disks)
@@ -87,7 +85,6 @@ class ResilienceLayer:
         self.policy = plan.resilience
         self.machine = machine
         self.streams = streams
-        self.metrics = metrics
         self.log = FaultEventLog(env)
         #: Fault state per faulted disk (disks without specs stay on
         #: their original model and never appear here).
@@ -102,7 +99,7 @@ class ResilienceLayer:
         #: of timeouts from shared-queue contention is also damped.
         self.breakers: Dict[int, CircuitBreaker] = {
             disk.disk_id: CircuitBreaker(
-                env, disk.disk_id, self.policy, self.log, metrics
+                env, disk.disk_id, self.policy, self.log
             )
             for disk in machine.disks
         }
@@ -121,7 +118,6 @@ class ResilienceLayer:
         if transition is None:
             return
         self.log.record("failslow", disk_id, detail=transition)
-        self.metrics.record_failslow(disk_id, transition)
         self._signal(
             "fail-slow" if transition == "detected" else "fail-slow-clear",
             disk_id,
@@ -228,7 +224,6 @@ class ResilienceLayer:
                     breaker.record_success()
                     on_success()
                     return
-                self.metrics.record_disk_error(disk.disk_id)
                 self.log.record(
                     "error",
                     disk.disk_id,
@@ -244,7 +239,6 @@ class ResilienceLayer:
                 # into the void).
                 cancelled = disk.cancel(request)
                 failure = "timeout" if cancelled else "timeout (in service)"
-                self.metrics.record_timeout(disk.disk_id)
                 self.log.record(
                     "timeout",
                     disk.disk_id,
@@ -267,7 +261,6 @@ class ResilienceLayer:
                 return
 
             delay = self._backoff(attempt, disk.disk_id)
-            self.metrics.record_retry(disk.disk_id)
             self.log.record(
                 "retry",
                 disk.disk_id,

@@ -45,7 +45,6 @@ from .replacement import GlobalLRUPolicy, ReplacementPolicy, RUSetPolicy
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.layer import ResilienceLayer
     from ..machine.machine import Machine
-    from ..metrics.collector import RunMetrics
     from ..prefetch.policy import PrefetchPolicy
     from .writeback import WritebackConfig
 
@@ -126,13 +125,11 @@ class BlockCache:
         machine: "Machine",
         file: File,
         config: CacheConfig,
-        metrics: "RunMetrics",
     ) -> None:
         self.env = env
         self.machine = machine
         self.file = file
         self.config = config
-        self.metrics = metrics
         self.costs = machine.costs
         self.memory = machine.memory
 
@@ -211,6 +208,14 @@ class BlockCache:
         #: May hold stale entries for buffers no longer DIRTY — consumers
         #: skip them lazily via :meth:`_pop_flushable`.
         self._dirty_queue: Deque[Buffer] = deque()
+        #: High-water mark of :attr:`dirty_count`.
+        self.dirty_peak = 0
+        #: Writebacks *started*, by reason: "background" (flusher),
+        #: "throttle" (dirty_ratio stall), "eviction" (clean-before-
+        #: reclaim), "write-through".
+        self.flushes_by_reason: Dict[str, int] = {}
+        #: Writebacks that exhausted their retries (block stayed dirty).
+        self.flush_failures = 0
         #: Probe ``fs.write_pressure`` ``(node_id, dirty_count,
         #: background_limit)``: a write newly dirtied a buffer — the
         #: dirty-pressure signal the adaptive prefetch policy's AIMD loop
@@ -275,10 +280,6 @@ class BlockCache:
             and buffer.read_count == 0
             and buffer.block is not None
         ):
-            if reason == "fetch_failed":
-                self.metrics.record_prefetch_write_off()
-            else:
-                self.metrics.record_unused_prefetch_eviction()
             for fn in self._on_unused_prefetch:
                 fn(buffer.fetched_by, buffer.block, reason)
 
@@ -333,7 +334,8 @@ class BlockCache:
         at flush completion, flush failure)."""
         self.dirty_count += 1
         self._dirty_queue.append(buffer)
-        self.metrics.record_dirty_level(self.dirty_count)
+        if self.dirty_count > self.dirty_peak:
+            self.dirty_peak = self.dirty_count
         if node_id is not None:
             for fn in self._on_write_pressure:
                 fn(node_id, self.dirty_count, self.dirty_background_limit)
@@ -363,7 +365,9 @@ class BlockCache:
             "dirty counter went negative",
             self.dirty_count,
         )
-        self.metrics.record_flush(reason)
+        self.flushes_by_reason[reason] = (
+            self.flushes_by_reason.get(reason, 0) + 1
+        )
         return event
 
     def _submit(
@@ -417,7 +421,6 @@ class BlockCache:
         buffer comes out clean unless a write landed mid-flush, in which
         case it goes straight back on the dirty queue."""
         clean = buffer.writeback_complete()
-        self.metrics.record_flush_complete()
         if clean:
             self._signal_freed()  # now evictable
         else:
@@ -433,7 +436,7 @@ class BlockCache:
         block = buffer.block
         event = buffer.writeback_failed()
         self._note_newly_dirty(buffer)
-        self.metrics.record_flush_failure()
+        self.flush_failures += 1
         event.fail(
             WriteFailedError(
                 f"writeback of block {block} failed permanently: {error}"
@@ -473,14 +476,12 @@ class BlockCache:
                 self._release_budget(buffer)
                 buffer.record_use()
                 buffer.pin()  # held across the copy
-                self.metrics.record_ready_hit(node_id)
                 self.metadata_lock.release(lock_req)
                 return LookupOutcome(kind="ready", buffer=buffer)
 
             if buffer is not None:  # FETCHING: unready hit
                 self._release_budget(buffer)
                 buffer.pin()  # protect while we wait
-                self.metrics.record_unready_hit(node_id)
                 event = buffer.ready_event
                 self.metadata_lock.release(lock_req)
                 return LookupOutcome(
@@ -497,7 +498,6 @@ class BlockCache:
             lock_req = self.metadata_lock.request()
             yield lock_req
 
-        self.metrics.record_miss(node_id)
         self.alloc_waits.record(self.env.now - wait_start)
 
         # Allocation + table update: another costed metadata operation.
@@ -616,14 +616,12 @@ class BlockCache:
                 if buffer.mark_dirty():
                     self._note_newly_dirty(buffer, node_id)
                 buffer.pin()  # held across the copy-in
-                self.metrics.record_write_hit(node_id)
                 self.metadata_lock.release(lock_req)
                 return LookupOutcome(kind="ready", buffer=buffer)
 
             if buffer is not None:  # FETCHING: the overwrite lands after
                 self._release_budget(buffer)
                 buffer.pin()  # protect while we wait
-                self.metrics.record_write_hit(node_id)
                 event = buffer.ready_event
                 self.metadata_lock.release(lock_req)
                 return LookupOutcome(
@@ -637,7 +635,6 @@ class BlockCache:
             lock_req = self.metadata_lock.request()
             yield lock_req
 
-        self.metrics.record_write_miss(node_id)
         self.alloc_waits.record(self.env.now - wait_start)
 
         # Allocation + table update: another costed metadata operation.
@@ -813,7 +810,6 @@ class BlockCache:
             self.unused_prefetched += 1
             self._budget_holders.add(victim.index)
             policy.commit(node_id, ref_index, block)
-            self.metrics.record_prefetch_issued()
             self.metadata_lock.release(lock_req)
 
             yield self.env.timeout(self.costs.disk_enqueue_time)

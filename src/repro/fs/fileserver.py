@@ -3,8 +3,9 @@
 ``read_block`` / ``write_block`` are what the synthetic applications
 call.  They glue together the node CPU protocol (hold while computing,
 release across waits), the memory system bracketing, the cache lookup,
-metric recording, and the ``fs.read`` / ``fs.write`` / ``fs.throttle``
-probe points that trace and span recorders subscribe to.
+and the ``fs.read`` / ``fs.hit_wait`` / ``fs.write`` / ``fs.throttle``
+probe points that the run's metrics and the trace and span recorders
+subscribe to.
 
 Timing anatomy of one read (all emergent from the cost model):
 
@@ -42,11 +43,13 @@ class FileServer:
         self.cache = cache
         self.env = cache.env
         self.machine = cache.machine
-        self.metrics = cache.metrics
         #: Probes ``fs.read`` / ``fs.write`` ``(node_id, block, outcome,
         #: latency, ref_index)``: a demand read or a write completed.
         self._on_read = self.env.probe("fs.read")
         self._on_write = self.env.probe("fs.write")
+        #: Probe ``fs.hit_wait`` ``(node_id, wait)``: an unready read hit
+        #: waited ``wait`` ms for someone else's fetch (the hit-wait).
+        self._on_hit_wait = self.env.probe("fs.hit_wait")
         #: Probe ``fs.throttle`` ``(node_id, start, end, reason)``: a
         #: foreground writer finished a synchronous-flush stall (throttle
         #: or write-through) — the obs layer's "writeback" lane.
@@ -77,7 +80,6 @@ class FileServer:
             yield from self.cache.copy_out(outcome.buffer)
             memory.exit()
             latency = env.now - start
-            self.metrics.record_read(node.node_id, latency)
             for fn in self._on_read:
                 fn(node.node_id, block, "ready", latency, ref_index)
             return cpu_req
@@ -108,7 +110,9 @@ class FileServer:
             ) from exc
         if outcome.kind == "unready":
             # Hit-wait: the logically necessary wait for the outstanding I/O.
-            self.metrics.record_hit_wait(node.idle_periods[-1].necessary)
+            wait = node.idle_periods[-1].necessary
+            for fn in self._on_hit_wait:
+                fn(node.node_id, wait)
 
         memory.enter()
         self.cache.complete_read(node.node_id, outcome.buffer)
@@ -116,7 +120,6 @@ class FileServer:
         memory.exit()
 
         latency = env.now - start
-        self.metrics.record_read(node.node_id, latency)
         for fn in self._on_read:
             fn(node.node_id, block, outcome.kind, latency, ref_index)
         return cpu_req
@@ -202,15 +205,10 @@ class FileServer:
                         f"node {node.node_id}'s write of block {block} "
                         f"failed permanently: {exc}"
                     ) from exc
-                if stall_reason == "throttle":
-                    self.metrics.record_throttle_stall(
-                        env.now - stall_start
-                    )
                 for fn in self._on_throttle:
                     fn(node.node_id, stall_start, env.now, stall_reason)
 
         latency = env.now - start
-        self.metrics.record_write(node.node_id, latency)
         for fn in self._on_write:
             fn(node.node_id, block, outcome.kind, latency, ref_index)
         return cpu_req

@@ -41,6 +41,7 @@ checker, so the runner imports it eagerly: ``RunResult.trace`` is a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import (
@@ -167,6 +168,10 @@ class TraceMeta:
         if self.source not in _SOURCES:
             raise TraceFormatError(
                 f"unknown trace source {self.source!r}; pick from {_SOURCES}"
+            )
+        if not math.isfinite(self.compute_mean):
+            raise TraceFormatError(
+                f"compute_mean must be finite, got {self.compute_mean}"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -296,9 +301,9 @@ class ReplayTrace:
         """Check the structural invariants replay depends on.
 
         Raises :class:`TraceFormatError` on the first violation: node id
-        out of range, block outside the file, negative compute gap or
-        join count, an unknown op, or a node timeline whose portion ids
-        decrease.
+        out of range, block outside the file, a non-finite compute gap,
+        time or latency, a negative compute gap or join count, an unknown
+        op, or a node timeline whose portion ids decrease.
         """
         meta = self.meta
         last_portion: Dict[int, int] = {}
@@ -317,6 +322,12 @@ class ReplayTrace:
                     f"{where}: block {rec.block} outside "
                     f"0..{meta.file_blocks - 1}"
                 )
+            for name in ("compute", "time", "latency"):
+                value = getattr(rec, name)
+                if not math.isfinite(value):
+                    raise TraceFormatError(
+                        f"{where}: {name} {value} is not finite"
+                    )
             if rec.compute < 0:
                 raise TraceFormatError(
                     f"{where}: negative compute gap {rec.compute}"

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Generator, List, Optional
 
 from ..sim.events import Event
-from ..sim.monitor import Tally
 from ..sim.resources import Request, Resource
 from ..sim.sync import Gate
 from .costs import CostModel
@@ -137,7 +136,6 @@ class Node:
         self._idle_start: Optional[float] = None
         self.idle_estimator = IdleEstimator()
         self.idle_periods: List[IdlePeriod] = []
-        self.overruns = Tally(f"node{node_id}.overrun")
         #: The node's idle daemons by kind ("prefetch", and "writeback" on
         #: write-back runs); each :class:`~repro.prefetch.daemon.IdleDaemon`
         #: registers itself here.
@@ -194,7 +192,6 @@ class Node:
             resume=resume,
         )
         self.idle_periods.append(period)
-        self.overruns.record(period.overrun)
         self.idle_estimator.observe(kind, period.necessary)
         return value, new_req
 
@@ -219,15 +216,3 @@ class Node:
         return self.idle_estimator.estimate_remaining(
             self.idle_kind, self.idle_elapsed()
         )
-
-    # -- reporting -------------------------------------------------------------
-
-    def idle_summary(self) -> Dict[IdleKind, Tally]:
-        """Per-kind tallies of *necessary* idle durations."""
-        out: Dict[IdleKind, Tally] = {
-            kind: Tally(f"node{self.node_id}.idle.{kind.value}")
-            for kind in IdleKind
-        }
-        for period in self.idle_periods:
-            out[period.kind].record(period.necessary)
-        return out

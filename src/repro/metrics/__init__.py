@@ -2,14 +2,7 @@
 
 from .collector import RunMetrics
 from .report import format_cell, render_scatter, render_table
-from .stats import (
-    cdf_points,
-    fraction_below,
-    median,
-    pearson_r,
-    percent_reduction,
-    summarize,
-)
+from .stats import fraction_below, median, pearson_r, percent_reduction
 
 __all__ = [
     "RunMetrics",
@@ -17,9 +10,7 @@ __all__ = [
     "render_scatter",
     "format_cell",
     "percent_reduction",
-    "cdf_points",
     "fraction_below",
     "median",
     "pearson_r",
-    "summarize",
 ]

@@ -7,27 +7,30 @@ Gathers every measure the paper defines (Section IV-C):
   feeds the benefit-distribution analysis behind Fig. 1 / the lfp anomaly);
 * cache hit ratio, split into *ready* and *unready* hits, plus hit-wait
   times;
-* average effective disk access time (delegated to the Disk objects);
 * blocks prefetched vs demand-fetched;
-* per-idle-kind necessary/actual idle times and prefetch overrun
-  (delegated to the Nodes);
 * idle-daemon action outcomes per kind (prefetch and writeback) and the
   mean successful prefetch action length;
-* synchronization waits (delegated to the Barrier);
-* fault-injection counters (per-disk errors / retries / timeouts and
-  circuit-breaker transitions) — all zero on healthy runs;
-* write-path counters (write latencies, dirty peak, flushes by reason,
-  throttle stalls — docs/writes.md) — all zero on read-only runs, and
-  kept strictly apart from the read-side tallies so every paper-facing
-  read measure means exactly what it meant before writes existed.
+* synchronization waits (filled in by the runner from the workload);
+* fault-injection counters (per-disk errors / retries / timeouts, breaker
+  opens and fail-slow detections) — all zero on healthy runs;
+* write-path counters (write latencies, throttle stalls —
+  docs/writes.md) — all zero on read-only runs, and kept strictly apart
+  from the read-side tallies so every paper-facing read measure means
+  exactly what it meant before writes existed.
 
-The collector is write-mostly during a run; derived ratios are computed on
-demand.
+Disk times, idle periods and overrun stay on the Disks and Nodes, and the
+cache keeps its own dirty peak and flush counts; the runner reads those
+after the run.
+
+:class:`RunMetrics` counts what the model's probe points report, like
+every other passive tap on a run (docs/obs.md): constructing it subscribes
+one method per point, so no model code calls it and ``repro lint``'s
+purity pass covers it.  Derived ratios are computed on demand.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..sim.monitor import Tally
 
@@ -44,26 +47,20 @@ class RunMetrics:
         self.env = env
         self.n_nodes = n_nodes
 
-        # Block reads.
+        # Block reads: every latency, and a count and sum per node.
         self.read_times = Tally("read_time")
-        self.read_times_by_node: List[Tally] = [
-            Tally(f"read_time.node{i}") for i in range(n_nodes)
-        ]
+        self._node_reads = [0] * n_nodes
+        self._node_read_total = [0.0] * n_nodes
 
         # Cache outcome counters.
         self.hits_ready = 0
         self.hits_unready = 0
+        #: Read misses; each is one demand fetch.
         self.misses = 0
-        self.hits_ready_by_node = [0] * n_nodes
-        self.hits_unready_by_node = [0] * n_nodes
-        self.misses_by_node = [0] * n_nodes
 
         #: Positive waits on unready hits (the hit-wait time).
         self.hit_wait = Tally("hit_wait")
 
-        # Fetch counters.
-        self.blocks_demand_fetched = 0
-        self.blocks_prefetched = 0
         #: Prefetched blocks evicted or invalidated before their first
         #: demand hit (wasted prefetches that left the cache mid-run;
         #: blocks still unused when the run ends are counted separately
@@ -74,53 +71,48 @@ class RunMetrics:
         #: unused evictions: the block never arrived at all.
         self.prefetch_write_offs = 0
 
-        # Idle-daemon actions per kind ("prefetch", "writeback"): the
-        # outcome counts and the summed duration of successful actions.
-        self.daemon_outcomes: Dict[str, Dict[str, int]] = {
-            "prefetch": {},
-            "writeback": {},
-        }
-        self.daemon_success_time: Dict[str, float] = {
-            "prefetch": 0.0,
-            "writeback": 0.0,
-        }
+        #: Prefetch-daemon action outcomes, and the summed duration of
+        #: the successful ones.
+        self.prefetch_outcomes: Dict[str, int] = {}
+        self._prefetch_success_time = 0.0
+        #: Flusher-daemon action outcomes (the writeback twin of
+        #: :attr:`prefetch_outcomes`).
+        self.flush_outcomes: Dict[str, int] = {}
 
-        # Synchronization (filled in by the workload at run end).
+        # Synchronization (filled in by the runner at run end).
         self.sync_waits = Tally("sync_wait")
 
-        # Fault injection (populated by the resilience layer; all empty
-        # on healthy runs).
+        # Fault injection (all empty / zero on healthy runs).
         self.disk_errors: Dict[int, int] = {}
         self.disk_retries: Dict[int, int] = {}
         self.disk_timeouts: Dict[int, int] = {}
-        #: ``(time, disk_id, old_state, new_state)`` in event order.
-        self.breaker_transitions: List[Tuple[float, int, str, str]] = []
-        #: Fail-slow detector flag transitions,
-        #: ``(time, disk_id, "detected"|"cleared")`` in event order.
-        self.failslow_events: List[Tuple[float, int, str]] = []
+        #: Circuit-breaker trips (transitions into OPEN).
+        self.breaker_opens = 0
+        #: Fail-slow windows the online detector opened.
+        self.failslow_detections = 0
 
         # Write path (all zero on read-only runs; docs/writes.md).
         self.write_times = Tally("write_time")
+        #: Writes that found their block's buffer present (ready or
+        #: unready).
         self.write_hits = 0
+        #: Writes that allocated a fresh dirty buffer (no read I/O).
         self.write_misses = 0
-        self.write_hits_by_node = [0] * n_nodes
-        self.write_misses_by_node = [0] * n_nodes
-        #: High-water mark of the dirty-block count.
-        self.dirty_peak = 0
-        #: Writebacks *started*, by reason: "background" (flusher),
-        #: "throttle" (dirty_ratio stall), "eviction" (clean-before-
-        #: reclaim), "write-through".
-        self.flushes_by_reason: Dict[str, int] = {}
-        #: Writebacks whose disk write completed.
-        self.flushes_completed = 0
-        #: Writebacks that exhausted their retries (block stayed dirty).
-        self.flush_failures = 0
         #: Foreground dirty-ratio stalls (the Linux throttle).
         self.throttle_stalls = Tally("throttle_stall")
 
         # Run span.
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
+
+        env.subscribe("fs.read", self._on_read)
+        env.subscribe("fs.hit_wait", self._on_hit_wait)
+        env.subscribe("fs.write", self._on_write)
+        env.subscribe("fs.throttle", self._on_throttle)
+        env.subscribe("fs.unused_prefetch", self._on_unused_prefetch)
+        env.subscribe("prefetch.action", self._on_prefetch_action)
+        env.subscribe("writeback.action", self._on_writeback_action)
+        env.subscribe("faults.signal", self._on_fault_signal)
 
     # -- recording ------------------------------------------------------------
 
@@ -130,106 +122,82 @@ class RunMetrics:
     def end_run(self) -> None:
         self.end_time = self.env.now
 
-    def record_read(self, node_id: int, duration: float) -> None:
-        self.read_times.record(duration)
-        self.read_times_by_node[node_id].record(duration)
+    def _on_read(
+        self,
+        node_id: int,
+        block: int,
+        outcome: str,
+        latency: float,
+        ref_index: int,
+    ) -> None:
+        self.read_times.record(latency)
+        self._node_reads[node_id] += 1
+        self._node_read_total[node_id] += latency
+        if outcome == "ready":
+            self.hits_ready += 1
+        elif outcome == "unready":
+            self.hits_unready += 1
+        else:
+            self.misses += 1
 
-    def record_ready_hit(self, node_id: int) -> None:
-        self.hits_ready += 1
-        self.hits_ready_by_node[node_id] += 1
-
-    def record_unready_hit(self, node_id: int) -> None:
-        self.hits_unready += 1
-        self.hits_unready_by_node[node_id] += 1
-
-    def record_hit_wait(self, wait: float) -> None:
+    def _on_hit_wait(self, node_id: int, wait: float) -> None:
         self.hit_wait.record(wait)
 
-    def record_miss(self, node_id: int) -> None:
-        self.misses += 1
-        self.misses_by_node[node_id] += 1
-        self.blocks_demand_fetched += 1
-
-    def record_prefetch_issued(self) -> None:
-        self.blocks_prefetched += 1
-
-    def record_unused_prefetch_eviction(self) -> None:
-        """One prefetched block left the cache without a demand hit."""
-        self.prefetch_unused_evictions += 1
-
-    def record_prefetch_write_off(self) -> None:
-        """One in-flight prefetch died with its disk (fetch failure)."""
-        self.prefetch_write_offs += 1
-
-    def record_daemon_action(
-        self, kind: str, duration: float, outcome: str
+    def _on_write(
+        self,
+        node_id: int,
+        block: int,
+        outcome: str,
+        latency: float,
+        ref_index: int,
     ) -> None:
-        """One idle-daemon action of ``kind`` (successful or not) of
-        ``duration`` ms."""
-        outcomes = self.daemon_outcomes[kind]
+        self.write_times.record(latency)
+        if outcome == "miss":
+            self.write_misses += 1
+        else:
+            self.write_hits += 1
+
+    def _on_throttle(
+        self, node_id: int, start: float, end: float, reason: str
+    ) -> None:
+        if reason == "throttle":
+            self.throttle_stalls.record(end - start)
+
+    def _on_unused_prefetch(
+        self, fetched_by: int, block: int, reason: str
+    ) -> None:
+        if reason == "fetch_failed":
+            self.prefetch_write_offs += 1
+        else:
+            self.prefetch_unused_evictions += 1
+
+    def _on_prefetch_action(
+        self, node_id: int, start: float, end: float, outcome: str
+    ) -> None:
+        outcomes = self.prefetch_outcomes
         outcomes[outcome] = outcomes.get(outcome, 0) + 1
         if outcome == "success":
-            self.daemon_success_time[kind] += duration
+            self._prefetch_success_time += end - start
 
-    def record_write(self, node_id: int, duration: float) -> None:
-        """One application-visible write latency (see
-        :meth:`~repro.fs.fileserver.FileServer.write_block` for what the
-        latency includes per write mode)."""
-        self.write_times.record(duration)
-
-    def record_write_hit(self, node_id: int) -> None:
-        """A write found its block's buffer present (ready or unready)."""
-        self.write_hits += 1
-        self.write_hits_by_node[node_id] += 1
-
-    def record_write_miss(self, node_id: int) -> None:
-        """A write allocated a fresh dirty buffer (no read I/O)."""
-        self.write_misses += 1
-        self.write_misses_by_node[node_id] += 1
-
-    def record_dirty_level(self, count: int) -> None:
-        if count > self.dirty_peak:
-            self.dirty_peak = count
-
-    def record_flush(self, reason: str) -> None:
-        """One writeback started (reason: background / throttle /
-        eviction / write-through)."""
-        self.flushes_by_reason[reason] = (
-            self.flushes_by_reason.get(reason, 0) + 1
-        )
-
-    def record_flush_complete(self) -> None:
-        self.flushes_completed += 1
-
-    def record_flush_failure(self) -> None:
-        self.flush_failures += 1
-
-    def record_throttle_stall(self, duration: float) -> None:
-        """One foreground dirty-ratio stall of ``duration`` ms."""
-        self.throttle_stalls.record(duration)
-
-    def record_disk_error(self, disk_id: int) -> None:
-        """One errored disk completion observed by the resilience layer."""
-        self.disk_errors[disk_id] = self.disk_errors.get(disk_id, 0) + 1
-
-    def record_retry(self, disk_id: int) -> None:
-        """One retry (re-issue after error/timeout + backoff)."""
-        self.disk_retries[disk_id] = self.disk_retries.get(disk_id, 0) + 1
-
-    def record_timeout(self, disk_id: int) -> None:
-        """One per-request timeout expiry."""
-        self.disk_timeouts[disk_id] = self.disk_timeouts.get(disk_id, 0) + 1
-
-    def record_breaker_transition(
-        self, disk_id: int, old_state: str, new_state: str
+    def _on_writeback_action(
+        self, node_id: int, start: float, end: float, outcome: str
     ) -> None:
-        self.breaker_transitions.append(
-            (self.env.now, disk_id, old_state, new_state)
-        )
+        outcomes = self.flush_outcomes
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
 
-    def record_failslow(self, disk_id: int, transition: str) -> None:
-        """One fail-slow detector flag transition."""
-        self.failslow_events.append((self.env.now, disk_id, transition))
+    def _on_fault_signal(self, kind: str, disk_id: int) -> None:
+        if kind == "error":
+            self.disk_errors[disk_id] = self.disk_errors.get(disk_id, 0) + 1
+        elif kind == "timeout":
+            self.disk_timeouts[disk_id] = (
+                self.disk_timeouts.get(disk_id, 0) + 1
+            )
+        elif kind == "retry":
+            self.disk_retries[disk_id] = self.disk_retries.get(disk_id, 0) + 1
+        elif kind == "breaker-open":
+            self.breaker_opens += 1
+        elif kind == "fail-slow":
+            self.failslow_detections += 1
 
     # -- derived quantities -----------------------------------------------------
 
@@ -246,36 +214,18 @@ class RunMetrics:
         return sum(self.disk_timeouts.values())
 
     @property
-    def breaker_opens(self) -> int:
-        """Number of closed/half-open -> open transitions."""
-        return sum(
-            1 for _, _, _, new in self.breaker_transitions if new == "open"
-        )
-
-    @property
-    def failslow_detections(self) -> int:
-        """Number of fail-slow windows the online detector opened."""
-        return sum(
-            1 for _, _, what in self.failslow_events if what == "detected"
-        )
-
-    @property
-    def prefetch_outcomes(self) -> Dict[str, int]:
-        return self.daemon_outcomes["prefetch"]
-
-    @property
-    def flush_outcomes(self) -> Dict[str, int]:
-        """Flusher-daemon action outcomes (the writeback twin of
-        :attr:`prefetch_outcomes`)."""
-        return self.daemon_outcomes["writeback"]
+    def blocks_prefetched(self) -> int:
+        """Prefetches issued: each successful prefetch action starts one
+        fetch."""
+        return self.prefetch_outcomes.get("success", 0)
 
     @property
     def prefetch_action_mean(self) -> float:
         """Mean length of a successful prefetch action (0 when none)."""
-        successes = self.prefetch_outcomes.get("success", 0)
+        successes = self.blocks_prefetched
         if successes == 0:
             return 0.0
-        return self.daemon_success_time["prefetch"] / successes
+        return self._prefetch_success_time / successes
 
     @property
     def failed_action_count(self) -> int:
@@ -338,18 +288,8 @@ class RunMetrics:
         return self.end_time - self.start_time
 
     @property
-    def total_fetches(self) -> int:
-        """Disk reads issued (demand + prefetch)."""
-        return self.blocks_demand_fetched + self.blocks_prefetched
-
-    @property
     def total_writes(self) -> int:
         return self.write_hits + self.write_misses
-
-    @property
-    def flush_count(self) -> int:
-        """Writebacks started, over all reasons."""
-        return sum(self.flushes_by_reason.values())
 
     @property
     def avg_write_time(self) -> float:
@@ -361,7 +301,10 @@ class RunMetrics:
         return self.throttle_stalls.total
 
     def per_node_mean_read_times(self) -> List[float]:
-        return [t.mean for t in self.read_times_by_node]
+        return [
+            total / count if count else 0.0
+            for count, total in zip(self._node_reads, self._node_read_total)
+        ]
 
     def benefit_imbalance(self) -> float:
         """Spread of per-node mean read times: (max - min) / overall mean.
@@ -369,7 +312,11 @@ class RunMetrics:
         Zero when prefetching benefits are perfectly evenly distributed;
         large values flag the Fig. 1(b) pathology.
         """
-        means = [t.mean for t in self.read_times_by_node if t.count]
+        means = [
+            total / count
+            for count, total in zip(self._node_reads, self._node_read_total)
+            if count
+        ]
         if not means or self.read_times.mean == 0:
             return 0.0
         return (max(means) - min(means)) / self.read_times.mean

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "percent_reduction",
-    "cdf_points",
     "fraction_below",
     "median",
     "pearson_r",
-    "summarize",
 ]
 
 
@@ -25,13 +23,6 @@ def percent_reduction(before: float, after: float) -> float:
     if before == 0:
         return 0.0
     return 100.0 * (before - after) / before
-
-
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as (value, cumulative fraction), sorted by value."""
-    data = sorted(values)
-    n = len(data)
-    return [(v, (i + 1) / n) for i, v in enumerate(data)]
 
 
 def fraction_below(values: Sequence[float], threshold: float) -> float:
@@ -60,17 +51,3 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     if sx == 0 or sy == 0:
         return 0.0
     return float(np.corrcoef(x, y)[0, 1])
-
-
-def summarize(values: Sequence[float]) -> dict:
-    """Min/median/mean/max/count of a sample (zeros for empty input)."""
-    if not values:
-        return {"count": 0, "min": 0.0, "median": 0.0, "mean": 0.0, "max": 0.0}
-    arr = np.asarray(values, dtype=float)
-    return {
-        "count": int(arr.size),
-        "min": float(arr.min()),
-        "median": float(np.median(arr)),
-        "mean": float(arr.mean()),
-        "max": float(arr.max()),
-    }

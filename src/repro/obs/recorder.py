@@ -23,7 +23,7 @@ plus
   markers, so degraded periods render alongside the demand stalls they
   cause.
 
-With tracing off those probe points have no subscribers, and *no*
+With tracing off none of these callbacks is subscribed, and *no*
 callback here ever creates an event, draws randomness, or mutates
 simulation state.  That is the invariant that keeps an obs-enabled run's
 event-trace hash bit-identical to a bare run's (see

@@ -34,7 +34,6 @@ from ..machine.node import Node
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fs.cache import BlockCache
-    from ..metrics.collector import RunMetrics
     from ..sim.events import Event
     from .policy import PrefetchPolicy
 
@@ -63,7 +62,6 @@ class IdleDaemon:
         node: Node,
         kind: str,
         action: Action,
-        metrics: "RunMetrics",
         *,
         sit_out: Collection[str],
         exhausted: Optional[Callable[[int], bool]] = None,
@@ -72,7 +70,6 @@ class IdleDaemon:
         self.env = node.env
         self.node = node
         self.kind = kind
-        self.metrics = metrics
         self._action = action
         self._sit_out = frozenset(sit_out)
         self._exhausted = exhausted
@@ -87,7 +84,6 @@ class IdleDaemon:
 
     def _record(self, start: float, outcome: str) -> None:
         now = self.env.now
-        self.metrics.record_daemon_action(self.kind, now - start, outcome)
         for fn in self._on_action:
             fn(self.node.node_id, start, now, outcome)
 
@@ -139,7 +135,6 @@ def prefetch_daemon(
     node: Node,
     cache: "BlockCache",
     policy: "PrefetchPolicy",
-    metrics: "RunMetrics",
     min_idle: float = 0.0,
 ) -> IdleDaemon:
     """``node``'s prefetcher: :meth:`BlockCache.prefetch_action` under
@@ -149,16 +144,13 @@ def prefetch_daemon(
         node,
         "prefetch",
         lambda node_id: cache.prefetch_action(node_id, policy),
-        metrics,
         sit_out=("suspended",),
         exhausted=policy.exhausted,
         min_idle=min_idle,
     )
 
 
-def writeback_daemon(
-    node: Node, cache: "BlockCache", metrics: "RunMetrics"
-) -> IdleDaemon:
+def writeback_daemon(node: Node, cache: "BlockCache") -> IdleDaemon:
     """``node``'s flusher: :meth:`BlockCache.flush_action`, sitting out an
     idle period on ``clean`` (at or below the background threshold) or
     ``suspended``."""
@@ -166,6 +158,5 @@ def writeback_daemon(
         node,
         "writeback",
         cache.flush_action,
-        metrics,
         sit_out=("clean", "suspended"),
     )

@@ -10,8 +10,7 @@ A from-scratch, generator-driven simulator (no external dependency) with:
 * resources (:class:`~repro.sim.resources.Resource` and the unbounded
   :class:`~repro.sim.resources.Store`), which schedule no event that
   nothing waits on;
-* synchronization (:class:`~repro.sim.sync.Barrier`,
-  :class:`~repro.sim.sync.Gate`);
+* a level-triggered condition (:class:`~repro.sim.sync.Gate`);
 * reproducible named RNG streams (:class:`~repro.sim.rng.RandomStreams`);
 * measurement (:class:`~repro.sim.monitor.Tally`,
   :class:`~repro.sim.monitor.TimeWeighted`).
@@ -25,7 +24,7 @@ from .monitor import Tally, TimeWeighted
 from .process import Interrupt, Process
 from .resources import Resource, Store
 from .rng import RandomStreams
-from .sync import Barrier, Gate
+from .sync import Gate
 
 __all__ = [
     "Environment",
@@ -40,7 +39,6 @@ __all__ = [
     "Interrupt",
     "Resource",
     "Store",
-    "Barrier",
     "Gate",
     "RandomStreams",
     "Tally",

@@ -4,8 +4,8 @@ The paper's measures (Section IV-C) are either *tallies* over discrete
 observations (block read times, hit-wait times, prefetch action lengths,
 overruns, synchronization waits) or *time-weighted* quantities (queue
 lengths, utilization).  :class:`Tally` and :class:`TimeWeighted` cover both;
-they retain raw samples optionally so the figure generators can compute
-medians, percentiles, and CDFs.
+a tally keeps its raw samples so reports can compute medians and
+percentiles.
 
 Two step observers support the determinism auditor
 (:mod:`repro.analysis.audit`), attached via
@@ -43,19 +43,14 @@ __all__ = [
 
 
 class Tally:
-    """Streaming summary of discrete observations.
-
-    Keeps count/sum/sum-of-squares/min/max always; keeps the raw samples
-    when ``keep_samples`` (the default, since runs are small enough and the
-    figure generators need percentiles).
+    """Streaming summary of discrete observations: count, sum, min, max
+    and every raw sample (reports need percentiles).
     """
 
-    def __init__(self, name: str = "", keep_samples: bool = True) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.keep_samples = keep_samples
         self.count = 0
         self.total = 0.0
-        self._sumsq = 0.0
         self.min: Optional[float] = None
         self.max: Optional[float] = None
         self.samples: List[float] = []
@@ -65,13 +60,11 @@ class Tally:
         value = float(value)
         self.count += 1
         self.total += value
-        self._sumsq += value * value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if self.keep_samples:
-            self.samples.append(value)
+        self.samples.append(value)
 
     def extend(self, values: Sequence[float]) -> None:
         for value in values:
@@ -82,22 +75,8 @@ class Tally:
         """Arithmetic mean; 0.0 when empty (by convention, not error)."""
         return self.total / self.count if self.count else 0.0
 
-    @property
-    def variance(self) -> float:
-        """Population variance; 0.0 when fewer than two observations."""
-        if self.count < 2:
-            return 0.0
-        m = self.mean
-        return max(0.0, self._sumsq / self.count - m * m)
-
-    @property
-    def stdev(self) -> float:
-        return math.sqrt(self.variance)
-
     def percentile(self, q: float) -> float:
-        """The q-th percentile (0..100) of the retained samples."""
-        if not self.keep_samples:
-            raise RuntimeError(f"tally {self.name!r} kept no samples")
+        """The q-th percentile (0..100) of the samples."""
         if not self.samples:
             return 0.0
         data = sorted(self.samples)
@@ -112,14 +91,6 @@ class Tally:
     @property
     def median(self) -> float:
         return self.percentile(50.0)
-
-    def cdf(self) -> List[tuple[float, float]]:
-        """Empirical CDF as (value, cumulative fraction) points."""
-        if not self.keep_samples:
-            raise RuntimeError(f"tally {self.name!r} kept no samples")
-        data = sorted(self.samples)
-        n = len(data)
-        return [(v, (i + 1) / n) for i, v in enumerate(data)]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

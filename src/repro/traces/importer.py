@@ -24,6 +24,8 @@ auditable:
 from __future__ import annotations
 
 import csv
+import io
+import math
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -47,6 +49,10 @@ def _parse_float(path: Path, lineno: int, column: str, raw: str) -> float:
         raise TraceFormatError(
             f"{path}:{lineno}: column {column!r}: {raw!r} is not a number"
         ) from None
+    if not math.isfinite(value):
+        raise TraceFormatError(
+            f"{path}:{lineno}: column {column!r}: {raw!r} is not finite"
+        )
     return value
 
 
@@ -84,67 +90,74 @@ def import_csv_trace(
     only as metadata / replay-config default, never to scale gaps).
     """
     path = Path(path)
-    with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError(f"{path}: empty file (no header)") from None
-        columns = [c.strip().lower() for c in header]
-        unknown = sorted(
-            c for c in columns
-            if c not in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise TraceFormatError(
+            f"{path}:{lineno}: not UTF-8 text ({exc.reason})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceFormatError(f"{path}: empty file (no header)") from None
+    columns = [c.strip().lower() for c in header]
+    unknown = sorted(
+        c for c in columns
+        if c not in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS
+    )
+    if unknown:
+        raise TraceFormatError(
+            f"{path}: unknown column(s) {unknown}; accepted columns: "
+            f"{sorted(_REQUIRED_COLUMNS + _OPTIONAL_COLUMNS)}"
         )
-        if unknown:
-            raise TraceFormatError(
-                f"{path}: unknown column(s) {unknown}; accepted columns: "
-                f"{sorted(_REQUIRED_COLUMNS + _OPTIONAL_COLUMNS)}"
-            )
-        missing = sorted(set(_REQUIRED_COLUMNS) - set(columns))
-        if missing:
-            raise TraceFormatError(
-                f"{path}: missing required column(s) {missing}"
-            )
-        if len(set(columns)) != len(columns):
-            raise TraceFormatError(f"{path}: duplicate columns in header")
-        col = {name: i for i, name in enumerate(columns)}
+    missing = sorted(set(_REQUIRED_COLUMNS) - set(columns))
+    if missing:
+        raise TraceFormatError(
+            f"{path}: missing required column(s) {missing}"
+        )
+    if len(set(columns)) != len(columns):
+        raise TraceFormatError(f"{path}: duplicate columns in header")
+    col = {name: i for i, name in enumerate(columns)}
 
-        # (time, node-key, block, compute?, portion?, lineno)
-        rows: List[
-            Tuple[float, str, int, Optional[float], Optional[int], int]
-        ] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected {len(columns)} fields, "
-                    f"got {len(row)}"
-                )
-            time = _parse_float(path, lineno, "time", row[col["time"]])
-            node_key = row[col["node"]].strip()
-            if not node_key:
-                raise TraceFormatError(f"{path}:{lineno}: empty node id")
-            block = _parse_int(path, lineno, "block", row[col["block"]])
-            if block < 0:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: negative block {block}"
-                )
-            compute = (
-                _parse_float(path, lineno, "compute", row[col["compute"]])
-                if "compute" in col
-                else None
+    # (time, node-key, block, compute?, portion?, lineno)
+    rows: List[
+        Tuple[float, str, int, Optional[float], Optional[int], int]
+    ] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(columns):
+            raise TraceFormatError(
+                f"{path}:{lineno}: expected {len(columns)} fields, "
+                f"got {len(row)}"
             )
-            if compute is not None and compute < 0:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: negative compute {compute}"
-                )
-            portion = (
-                _parse_int(path, lineno, "portion", row[col["portion"]])
-                if "portion" in col
-                else None
+        time = _parse_float(path, lineno, "time", row[col["time"]])
+        node_key = row[col["node"]].strip()
+        if not node_key:
+            raise TraceFormatError(f"{path}:{lineno}: empty node id")
+        block = _parse_int(path, lineno, "block", row[col["block"]])
+        if block < 0:
+            raise TraceFormatError(
+                f"{path}:{lineno}: negative block {block}"
             )
-            rows.append((time, node_key, block, compute, portion, lineno))
+        compute = (
+            _parse_float(path, lineno, "compute", row[col["compute"]])
+            if "compute" in col
+            else None
+        )
+        if compute is not None and compute < 0:
+            raise TraceFormatError(
+                f"{path}:{lineno}: negative compute {compute}"
+            )
+        portion = (
+            _parse_int(path, lineno, "portion", row[col["portion"]])
+            if "portion" in col
+            else None
+        )
+        rows.append((time, node_key, block, compute, portion, lineno))
 
     if not rows:
         raise TraceFormatError(f"{path}: no data rows")

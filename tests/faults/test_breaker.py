@@ -6,18 +6,21 @@ from repro.faults import (
     FaultEventLog,
     ResiliencePolicy,
 )
-from repro.metrics import RunMetrics
 from repro.sim import Environment
 
 
 def make_breaker(threshold=3, cooldown=100.0):
     env = Environment()
-    metrics = RunMetrics(env, 1)
     log = FaultEventLog(env)
     policy = ResiliencePolicy(
         breaker_threshold=threshold, breaker_cooldown=cooldown
     )
-    return env, CircuitBreaker(env, 0, policy, log, metrics), metrics
+    return env, CircuitBreaker(env, 0, policy, log), log
+
+
+def transitions(log):
+    """The breaker transitions the fault event log holds, in order."""
+    return [e.detail for e in log.events if e.kind == "breaker"]
 
 
 def test_trips_only_on_consecutive_failures():
@@ -40,7 +43,7 @@ def _sleep(env, delay):
 
 
 def test_cooldown_then_half_open_probe_then_close():
-    env, breaker, metrics = make_breaker(threshold=1, cooldown=100.0)
+    env, breaker, log = make_breaker(threshold=1, cooldown=100.0)
     breaker.record_failure()
     assert breaker.state is BreakerState.OPEN
     assert not breaker.allow()
@@ -54,15 +57,12 @@ def test_cooldown_then_half_open_probe_then_close():
     assert breaker.allow()  # further probes admitted too
     breaker.record_success()
     assert breaker.state is BreakerState.CLOSED
-    transitions = [
-        (old, new) for _, _, old, new in metrics.breaker_transitions
+    assert transitions(log) == [
+        "closed->open",
+        "open->half-open",
+        "half-open->closed",
     ]
-    assert transitions == [
-        ("closed", "open"),
-        ("open", "half-open"),
-        ("half-open", "closed"),
-    ]
-    assert metrics.breaker_opens == 1
+    assert breaker.opened_count == 1
 
 
 def test_half_open_failure_reopens_with_fresh_cooldown():
@@ -93,8 +93,8 @@ def test_open_intervals_cover_non_closed_spans():
 
 
 def test_success_in_closed_is_a_no_op_transitionwise():
-    env, breaker, metrics = make_breaker()
+    env, breaker, log = make_breaker()
     breaker.record_success()
     breaker.record_success()
     assert breaker.state is BreakerState.CLOSED
-    assert metrics.breaker_transitions == []
+    assert transitions(log) == []

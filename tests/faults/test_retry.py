@@ -15,7 +15,7 @@ from ..helpers import build_stack, user_read
 
 def faulted_stack(plan, seed=1, **kwargs):
     env, machine, file, cache, server, metrics = build_stack(**kwargs)
-    layer = ResilienceLayer(env, plan, machine, RandomStreams(seed), metrics)
+    layer = ResilienceLayer(env, plan, machine, RandomStreams(seed))
     cache.resilience = layer
     return env, machine, cache, server, metrics, layer
 

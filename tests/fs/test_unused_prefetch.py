@@ -1,4 +1,5 @@
-"""Tests for the unused-prefetch accounting (counter + passive probe)."""
+"""Tests for the unused-prefetch accounting (the ``fs.unused_prefetch``
+probe and the run metrics' counters fed from it)."""
 
 from repro.fs.buffer import BufferState, RequestKind
 from repro.prefetch import OraclePolicy
@@ -115,9 +116,14 @@ def test_demand_fetch_failure_is_not_counted():
 
 
 def test_observer_is_optional():
+    """With no subscriber at all, not even the run's metrics, a wasted
+    prefetch still leaves the cache consistent and counts nothing."""
     env, machine, file, cache, server, metrics = build_stack()
+    env.unsubscribe_all()
     policy = _oracle_for(cache)
     assert env.probe("fs.unused_prefetch") == []
     _prefetch_one(env, machine, cache, policy)
-    cache._evict(cache.buffer_for(0))  # no subscriber: counter only
-    assert metrics.prefetch_unused_evictions == 1
+    cache._evict(cache.buffer_for(0))
+    assert metrics.prefetch_unused_evictions == 0
+    assert cache.unused_prefetched == 0
+    cache.check_invariants()

@@ -66,7 +66,7 @@ def test_write_back_buffers_dirty_without_disk_io():
     assert cache.dirty_count == 1
     assert cache.table[3].state is BufferState.DIRTY
     assert metrics.write_misses == 1
-    assert metrics.dirty_peak == 1
+    assert cache.dirty_peak == 1
     # Buffered write: no disk access on the application's path.
     assert metrics.write_times.mean < DISK_MS
     assert machine.disks[0].blocks_served + machine.disks[1].blocks_served == 0
@@ -79,7 +79,7 @@ def test_rewrite_of_dirty_block_is_a_hit_and_not_recounted():
     assert cache.dirty_count == 1
     assert metrics.write_misses == 1
     assert metrics.write_hits == 1
-    assert metrics.dirty_peak == 1
+    assert cache.dirty_peak == 1
 
 
 def test_write_hit_on_cached_block_dirties_it():
@@ -125,8 +125,8 @@ def test_write_through_flushes_synchronously():
     env.run()
     assert cache.dirty_count == 0
     assert cache.table[3].state is BufferState.READY
-    assert metrics.flushes_by_reason == {"write-through": 1}
-    assert metrics.flushes_completed == 1
+    assert cache.flushes_by_reason == {"write-through": 1}
+    assert sum(d.write_response.count for d in machine.disks) == 1
     # Durable-side latency includes the disk write.
     assert metrics.write_times.mean >= DISK_MS
 
@@ -143,8 +143,8 @@ def test_dirty_ratio_throttle_bounds_dirty_growth():
     env.process(user_write_many(server, machine.nodes[0], [0, 1, 2, 3, 4]))
     env.run()
     assert metrics.throttle_stalls.count > 0
-    assert metrics.flushes_by_reason.get("throttle", 0) > 0
-    assert metrics.dirty_peak <= cache.dirty_limit
+    assert cache.flushes_by_reason.get("throttle", 0) > 0
+    assert cache.dirty_peak <= cache.dirty_limit
     # Each stall paid (at least) a disk write.
     assert metrics.throttle_stalls.mean >= DISK_MS
 
@@ -157,7 +157,7 @@ def test_no_throttle_below_the_limit():
     env.process(user_write_many(server, machine.nodes[0], [0, 1, 2]))
     env.run()
     assert metrics.throttle_stalls.count == 0
-    assert metrics.flushes_by_reason == {}
+    assert cache.flushes_by_reason == {}
     assert cache.dirty_count == 3
 
 
@@ -183,7 +183,7 @@ def test_reclaim_flushes_dirty_blocks_rather_than_deadlocking():
     env.process(write_fill_then_read())
     env.run()
     assert results, "the read never completed: reclaim deadlocked"
-    assert metrics.flushes_by_reason.get("eviction", 0) >= 1
+    assert cache.flushes_by_reason.get("eviction", 0) >= 1
     cache.check_invariants()
 
 
@@ -195,7 +195,7 @@ def test_daemon_flushes_during_idle_time():
         dirty_background_ratio=0.0
     )
     node = machine.nodes[0]
-    daemon = writeback_daemon(node, cache, metrics)
+    daemon = writeback_daemon(node, cache)
 
     def write_then_idle():
         # Three dirty blocks, then a miss: the ~30 ms SELF_IO idle
@@ -206,8 +206,8 @@ def test_daemon_flushes_during_idle_time():
     env.process(write_then_idle())
     env.run()
     assert metrics.flush_outcomes.get("success", 0) >= 1
-    assert metrics.flushes_by_reason.get("background", 0) >= 1
-    assert metrics.flushes_completed >= 1
+    assert cache.flushes_by_reason.get("background", 0) >= 1
+    assert sum(d.write_response.count for d in machine.disks) >= 1
     assert cache.dirty_count < 3
     assert node.daemons["writeback"] is daemon
 
@@ -217,7 +217,7 @@ def test_daemon_sits_out_below_background_threshold():
         dirty_ratio=0.75, dirty_background_ratio=0.5
     )
     node = machine.nodes[0]
-    writeback_daemon(node, cache, metrics)
+    writeback_daemon(node, cache)
 
     def write_then_idle():
         yield env.process(user_write(server, node, 0))  # 1 < limit of 4
@@ -235,7 +235,7 @@ def test_daemon_action_probe_fires():
         dirty_background_ratio=0.0
     )
     node = machine.nodes[0]
-    writeback_daemon(node, cache, metrics)
+    writeback_daemon(node, cache)
     seen = []
     env.subscribe(
         "writeback.action",
@@ -282,8 +282,8 @@ def test_invariants_hold_after_mixed_traffic():
         dirty_ratio=0.5, dirty_background_ratio=0.0
     )
     node0, node1 = machine.nodes[0], machine.nodes[1]
-    writeback_daemon(node0, cache, metrics)
-    writeback_daemon(node1, cache, metrics)
+    writeback_daemon(node0, cache)
+    writeback_daemon(node1, cache)
 
     def traffic(node, blocks):
         for block in blocks:

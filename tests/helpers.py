@@ -38,7 +38,6 @@ def build_stack(
             prefetch_unused_limit=unused_limit,
             replacement=replacement,
         ),
-        metrics,
     )
     server = FileServer(cache)
     return env, machine, file, cache, server, metrics

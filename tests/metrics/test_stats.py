@@ -3,12 +3,10 @@
 import pytest
 
 from repro.metrics import (
-    cdf_points,
     fraction_below,
     median,
     pearson_r,
     percent_reduction,
-    summarize,
 )
 
 
@@ -17,15 +15,6 @@ def test_percent_reduction():
     assert percent_reduction(100.0, 120.0) == -20.0
     assert percent_reduction(0.0, 10.0) == 0.0
     assert percent_reduction(10.0, 10.0) == 0.0
-
-
-def test_cdf_points():
-    assert cdf_points([3.0, 1.0, 2.0]) == [
-        (1.0, pytest.approx(1 / 3)),
-        (2.0, pytest.approx(2 / 3)),
-        (3.0, 1.0),
-    ]
-    assert cdf_points([]) == []
 
 
 def test_fraction_below():
@@ -51,10 +40,3 @@ def test_pearson_r_degenerate():
     with pytest.raises(ValueError):
         pearson_r([1, 2], [1])
 
-
-def test_summarize():
-    s = summarize([1.0, 2.0, 3.0])
-    assert s == {
-        "count": 3, "min": 1.0, "median": 2.0, "mean": 2.0, "max": 3.0,
-    }
-    assert summarize([])["count"] == 0

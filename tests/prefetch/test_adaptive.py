@@ -7,7 +7,6 @@ import pytest
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.faults import FaultPlan, ResilienceLayer, ResiliencePolicy
 from repro.machine import RequestKind
-from repro.metrics import RunMetrics
 from repro.prefetch import AdaptiveConfig, AdaptivePolicy, build_policy
 from repro.prefetch.adaptive import (
     KIND_RANDOM,
@@ -301,7 +300,6 @@ def make_policy(
             ),
             cache.machine,
             RandomStreams(0),
-            RunMetrics(cache.env, n_nodes),
         )
     policy.bind(cache)
     return policy, cache

@@ -22,7 +22,7 @@ def daemon_stack(pattern_name="gw", n_nodes=2, total=20, file_blocks=20,
     policy = OraclePolicy(pattern, tracker, lead=lead)
     policy.bind(cache)
     daemons = [
-        prefetch_daemon(node, cache, policy, metrics, min_idle)
+        prefetch_daemon(node, cache, policy, min_idle)
         for node in machine.nodes
     ]
     return env, machine, cache, server, metrics, tracker, policy, daemons
@@ -138,7 +138,7 @@ def test_failure_cap_bounds_spinning():
     policy.bind(cache)
     # OBL with no observations: peek always None, never exhausted.
     node = machine.nodes[0]
-    prefetch_daemon(node, cache, policy, metrics)
+    prefetch_daemon(node, cache, policy)
 
     def user():
         cpu = yield from node.acquire_cpu()

@@ -12,7 +12,6 @@ def test_tally_empty():
     t = Tally("empty")
     assert t.count == 0
     assert t.mean == 0.0
-    assert t.variance == 0.0
     assert t.min is None and t.max is None
     assert t.percentile(50) == 0.0
 
@@ -24,8 +23,6 @@ def test_tally_basic_stats():
     assert t.mean == pytest.approx(2.5)
     assert t.min == 1.0
     assert t.max == 4.0
-    assert t.variance == pytest.approx(1.25)
-    assert t.stdev == pytest.approx(1.25**0.5)
 
 
 def test_tally_median_and_percentiles():
@@ -41,23 +38,6 @@ def test_tally_single_sample():
     t = Tally()
     t.record(7.0)
     assert t.median == 7.0
-    assert t.variance == 0.0
-
-
-def test_tally_cdf():
-    t = Tally()
-    t.extend([3.0, 1.0, 2.0])
-    assert t.cdf() == [(1.0, pytest.approx(1 / 3)), (2.0, pytest.approx(2 / 3)), (3.0, 1.0)]
-
-
-def test_tally_without_samples_rejects_percentile():
-    t = Tally(keep_samples=False)
-    t.record(1.0)
-    assert t.mean == 1.0
-    with pytest.raises(RuntimeError):
-        t.percentile(50)
-    with pytest.raises(RuntimeError):
-        t.cdf()
 
 
 # ------------------------------------------------------------ TimeWeighted

@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Barrier, Environment, Resource, Store, Tally
+from repro.sim import Environment, Resource, Store, Tally
+from repro.workload.synchronization import DynamicBarrier
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=200))
@@ -54,10 +55,10 @@ def test_resource_never_exceeds_capacity(capacity, hold_times):
     st.integers(min_value=1, max_value=5),
 )
 def test_barrier_conservation(parties, rounds):
-    """Every waiter is released exactly once per generation; release time is
-    the max arrival time of its generation."""
+    """Every waiter of the model's barrier is released exactly once per
+    generation, and departing parties release no extra generation."""
     env = Environment()
-    barrier = Barrier(env, parties=parties)
+    barrier = DynamicBarrier(env, parties=parties)
     releases = []
 
     def worker(i):
@@ -65,6 +66,7 @@ def test_barrier_conservation(parties, rounds):
             yield env.timeout(float((i * 7 + r * 3) % 11))
             gen = yield barrier.wait()
             releases.append(gen)
+        barrier.depart()
 
     for i in range(parties):
         env.process(worker(i))
@@ -74,6 +76,8 @@ def test_barrier_conservation(parties, rounds):
         assert releases.count(g) == parties
     assert len(barrier.wait_times) == parties * rounds
     assert all(w >= 0 for w in barrier.wait_times)
+    assert barrier.generation == rounds
+    assert barrier.active == 0
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=0, max_size=60))
@@ -113,9 +117,7 @@ def test_tally_consistency(values):
     assert abs(t.mean - mean) < 1e-6 * max(1.0, abs(mean))
     assert t.percentile(0) == min(values)
     assert t.percentile(100) == max(values)
-    cdf = t.cdf()
-    assert cdf[-1][1] == 1.0
-    assert [v for v, _ in cdf] == sorted(values)
+    assert t.samples == [float(v) for v in values]
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -1,22 +1,17 @@
-"""Tests for Barrier and Gate."""
+"""Tests for Gate, and for the model's cyclic barrier
+(:class:`~repro.workload.synchronization.DynamicBarrier`) while no party
+departs."""
 
-import pytest
-
-from repro.sim import Barrier, Environment, Gate
+from repro.sim import Environment, Gate
+from repro.workload.synchronization import DynamicBarrier
 
 
 # ----------------------------------------------------------------- Barrier
 
 
-def test_barrier_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Barrier(env, parties=0)
-
-
 def test_barrier_releases_all_together():
     env = Environment()
-    barrier = Barrier(env, parties=3)
+    barrier = DynamicBarrier(env, parties=3)
     released = []
 
     def worker(i, delay):
@@ -35,7 +30,7 @@ def test_barrier_releases_all_together():
 
 def test_barrier_is_cyclic():
     env = Environment()
-    barrier = Barrier(env, parties=2)
+    barrier = DynamicBarrier(env, parties=2)
     gens = []
 
     def worker(delay):
@@ -53,7 +48,7 @@ def test_barrier_is_cyclic():
 
 def test_barrier_records_wait_times():
     env = Environment()
-    barrier = Barrier(env, parties=2)
+    barrier = DynamicBarrier(env, parties=2)
 
     def worker(delay):
         yield env.timeout(delay)
@@ -63,12 +58,12 @@ def test_barrier_records_wait_times():
     env.process(worker(8.0))
     env.run()
     assert sorted(barrier.wait_times) == [0.0, 6.0]
-    assert barrier.release_times == [8.0]
+    assert barrier.generation == 1
 
 
 def test_barrier_n_waiting():
     env = Environment()
-    barrier = Barrier(env, parties=3)
+    barrier = DynamicBarrier(env, parties=3)
     counts = []
 
     def worker(delay):

@@ -202,6 +202,21 @@ def test_figure_command_standalone(capsys):
     assert rc == 0
 
 
+def test_figure_runs_through_the_run_cache(tmp_path, capsys):
+    """A config-built standalone figure batches its runs through the run
+    cache: the second invocation simulates nothing."""
+    argv = ["figure", "vd", "--seed", "1", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert f"cache {tmp_path}: 0/5 hits, 5 stored" in first
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert f"cache {tmp_path}: 5/5 hits, 0 stored" in second
+    assert second.replace("5/5 hits, 0 stored", "") == first.replace(
+        "0/5 hits, 5 stored", ""
+    )
+
+
 def test_sweep_command(capsys):
     rc = main([
         "sweep", "lead", "0", "10",

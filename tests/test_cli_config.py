@@ -83,6 +83,7 @@ def test_trace_replay_defaults_to_one_disk_per_traced_node(
 def _write_bad_files(tmp_path):
     (tmp_path / "bad.json").write_text("{}\n")
     (tmp_path / "bad.jsonl").write_text("not json\n")
+    (tmp_path / "latin1.csv").write_bytes(b"time,node,block\n0,\xff,1\n")
     FaultPlan(faults=(FailSlow(disk=9, factor=2.0),)).save(
         str(tmp_path / "disk9.json")
     )
@@ -114,6 +115,14 @@ BAD_INPUTS = [
     (["trace", "stats", "{tmp}/bad.jsonl"], "{tmp}/bad.jsonl"),
     (["trace", "replay", "{tmp}/bad.jsonl"], "{tmp}/bad.jsonl"),
     (["analyze", "{tmp}/bad.jsonl"], "{tmp}/bad.jsonl"),
+    (
+        ["trace", "import", "{tmp}/missing.csv", "-o", "{tmp}/t.jsonl"],
+        "{tmp}/missing.csv",
+    ),
+    (
+        ["trace", "import", "{tmp}/latin1.csv", "-o", "{tmp}/t.jsonl"],
+        "{tmp}/latin1.csv:2: not UTF-8",
+    ),
     (["faults", "show", "{tmp}/missing.json"], "{tmp}/missing.json"),
     (["faults", "show", "{tmp}/bad.json"], "{tmp}/bad.json"),
 ]

@@ -65,7 +65,7 @@ def test_every_configuration_conserves_references(config):
     # Fetch accounting: every miss is a demand fetch; prefetches are
     # bounded by the number of references (each reference is claimed at
     # most once per scope).
-    assert m.blocks_demand_fetched == m.misses
+    assert result.blocks_demand_fetched == m.misses
     assert result.blocks_prefetched <= config.effective_total_reads
     if not config.prefetch:
         assert result.blocks_prefetched == 0
@@ -145,5 +145,5 @@ def test_disk_conservation(seed):
     # All demand fetches completed (the run waits on them); at most a
     # handful of prefetch I/Os may still be queued at the instant the last
     # application exits.
-    assert result.metrics.blocks_demand_fetched <= issued
+    assert result.blocks_demand_fetched <= issued
     assert issued >= result.total_accesses * result.miss_ratio

@@ -1,6 +1,7 @@
 """Replay-trace format: persistence, strictness, validation."""
 
 import json
+import math
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -181,6 +182,32 @@ def test_validate_negative_compute():
         trace.validate()
 
 
+@pytest.mark.parametrize("field", ["compute", "time", "latency"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite(field, value):
+    # NaN passed the negative-compute check, and nothing checked time or
+    # latency at all.
+    meta = TraceMeta(workload="x", n_nodes=1, file_blocks=10)
+    trace = ReplayTrace(meta, [ReplayRecord(node=0, block=0, **{field: value})])
+    with pytest.raises(TraceFormatError, match=f"record 0: {field} .* finite"):
+        trace.validate()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_meta_rejects_non_finite_compute_mean(value):
+    with pytest.raises(TraceFormatError, match="compute_mean must be finite"):
+        TraceMeta(workload="x", n_nodes=1, file_blocks=10, compute_mean=value)
+
+
+def test_load_rejects_infinity_naming_the_file(tmp_path):
+    path = tmp_path / "t.jsonl"
+    small_trace().save(path)
+    with path.open("a") as fh:
+        fh.write('{"node":0,"block":5,"compute":Infinity}\n')
+    with pytest.raises(TraceFormatError, match=f"^{path}: record 3: compute"):
+        ReplayTrace.load(path)
+
+
 def test_validate_decreasing_portions():
     meta = TraceMeta(workload="x", n_nodes=1, file_blocks=10)
     trace = ReplayTrace(
@@ -299,14 +326,15 @@ _JSON_VALUES = st.one_of(
 )
 @given(data=st.data())
 def test_load_of_a_mutated_trace_is_valid_or_a_format_error(tmp_path, data):
-    """Drop or retype a header, meta or record field, truncate or
-    duplicate a line, or inject bytes: the loader returns a valid trace
-    or raises TraceFormatError naming the file, nothing else."""
+    """Drop or retype a header, meta or record field, make a float field
+    NaN or infinite, truncate or duplicate a line, or inject bytes: the
+    loader returns a valid trace with finite numbers or raises
+    TraceFormatError naming the file, nothing else."""
     path = tmp_path / "t.jsonl"
     small_trace().save(path)
     objs = [json.loads(line) for line in path.read_text().splitlines()]
     mutation = data.draw(st.sampled_from(
-        ["drop", "retype", "truncate", "duplicate", "inject"]
+        ["drop", "retype", "nonfinite", "truncate", "duplicate", "inject"]
     ))
     i = data.draw(st.integers(0, len(objs) - 1))
     if mutation in ("drop", "retype"):
@@ -318,6 +346,14 @@ def test_load_of_a_mutated_trace_is_valid_or_a_format_error(tmp_path, data):
             del target[key]
         else:
             target[key] = data.draw(_JSON_VALUES)
+    elif mutation == "nonfinite":
+        target, keys = objs[i], ["compute", "time", "latency"]
+        if i == 0:
+            target, keys = target["meta"], ["compute_mean"]
+        key = data.draw(st.sampled_from(keys))
+        target[key] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
     lines = [json.dumps(obj).encode() for obj in objs]
     if mutation == "truncate":
         lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
@@ -336,3 +372,6 @@ def test_load_of_a_mutated_trace_is_valid_or_a_format_error(tmp_path, data):
         assert str(path) in str(exc)
     else:
         trace.validate()
+        assert math.isfinite(trace.meta.compute_mean)
+        for r in trace.records:
+            assert all(map(math.isfinite, (r.compute, r.time, r.latency)))

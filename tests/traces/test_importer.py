@@ -87,6 +87,32 @@ def test_bad_number_names_line(tmp_path):
         import_csv_trace(path)
 
 
+def test_non_utf8_byte_names_the_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"time,node,block\n0,a,1\n1,\xff,2\n")
+    with pytest.raises(TraceFormatError, match=f"^{path}:3: not UTF-8"):
+        import_csv_trace(path)
+
+
+@pytest.mark.parametrize("column", ["time", "compute"])
+@pytest.mark.parametrize("raw", ["1e400", "nan", "-inf"])
+def test_non_finite_number_rejected(tmp_path, column, raw):
+    # Unchecked, a time of 1e400 imported as Infinity and replayed to an
+    # infinite total time.
+    row = {"time": "1", "compute": "2.0"}
+    row[column] = raw
+    path = write(
+        tmp_path,
+        "time,node,block,compute\n0,a,1,1.0\n"
+        f"{row['time']},a,2,{row['compute']}\n",
+    )
+    with pytest.raises(TraceFormatError) as err:
+        import_csv_trace(path)
+    assert str(err.value) == (
+        f"{path}:3: column {column!r}: {raw!r} is not finite"
+    )
+
+
 def test_negative_block_rejected(tmp_path):
     path = write(tmp_path, "time,node,block\n0,a,-4\n")
     with pytest.raises(TraceFormatError, match="negative block"):
