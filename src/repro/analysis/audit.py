@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..fs.cache import BlockCache
     from ..machine.machine import Machine
     from ..obs.recorder import ObsData
+    from ..workload.patterns import AccessPattern
 
 __all__ = [
     "AuditReport",
@@ -146,8 +147,14 @@ def run_with_audit(
     config: "ExperimentConfig",
     sweep_interval: Optional[float] = DEFAULT_SWEEP_INTERVAL,
     obs: bool = False,
+    *,
+    pattern: Optional["AccessPattern"] = None,
 ) -> AuditReport:
     """Run ``config`` under a fresh :class:`Auditor`.
+
+    ``pattern`` is passed to
+    :func:`~repro.experiments.runner.run_experiment`: a pre-built
+    pattern, such as a trace's, in place of ``config``'s own.
 
     With ``obs=True`` an :class:`~repro.obs.recorder.ObsRecorder` rides
     along on the same run; because its hooks are passive, the trace
@@ -164,7 +171,7 @@ def run_with_audit(
 
         recorder = ObsRecorder()
         instrument = _CompositeInstrumentation(auditor, recorder)
-    result = run_experiment(config, instrument=instrument)
+    result = run_experiment(config, instrument=instrument, pattern=pattern)
     auditor.race_log.finish()
     obs_data = recorder.finalize(result) if recorder is not None else None
     return AuditReport(
@@ -215,6 +222,8 @@ def run_twice_and_diff(
     config: "ExperimentConfig",
     sweep_interval: Optional[float] = DEFAULT_SWEEP_INTERVAL,
     obs: bool = False,
+    *,
+    pattern: Optional["AccessPattern"] = None,
 ) -> DeterminismReport:
     """Prove (or refute) seed-stability of ``config``.
 
@@ -226,8 +235,14 @@ def run_twice_and_diff(
 
     With ``obs=True`` both runs carry the observability recorder, so an
     identical verdict additionally proves span tracing and timeline
-    sampling do not perturb the schedule.
+    sampling do not perturb the schedule.  Both runs take the same
+    ``pattern`` (a trace replay audits as ``run_twice_and_diff(config,
+    pattern=trace.to_pattern())``).
     """
-    first = run_with_audit(config, sweep_interval=sweep_interval, obs=obs)
-    second = run_with_audit(config, sweep_interval=sweep_interval, obs=obs)
+    first = run_with_audit(
+        config, sweep_interval=sweep_interval, obs=obs, pattern=pattern
+    )
+    second = run_with_audit(
+        config, sweep_interval=sweep_interval, obs=obs, pattern=pattern
+    )
     return DeterminismReport(label=config.label, first=first, second=second)

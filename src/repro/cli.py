@@ -648,8 +648,8 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_replay(args: argparse.Namespace) -> int:
+    from .analysis.audit import run_twice_and_diff
     from .traces import ReplayTrace, replay_config, replay_pair
-    from .traces import replay_twice_and_diff
 
     trace = _read(ReplayTrace.load, args.trace)
     n_disks = args.n_disks if args.n_disks is not None else trace.meta.n_nodes
@@ -658,7 +658,7 @@ def _cmd_trace_replay(args: argparse.Namespace) -> int:
     if args.audit:
         ok = True
         for cell in (config, config.paired_baseline()):
-            report = replay_twice_and_diff(trace, cell)
+            report = run_twice_and_diff(cell, pattern=trace.to_pattern())
             print(report.summary())
             ok = ok and report.identical
         print("replay determinism audit:", "PASS" if ok else "FAIL")

@@ -40,11 +40,13 @@ class ExperimentConfig:
 
     # Workload cell.  ``pattern`` is one of the paper's six names, or
     # ``"trace:<workload>"`` for a trace-driven run (built by
-    # :func:`repro.traces.replay.run_replay`; such configs cannot be
-    # materialized by :func:`~repro.experiments.runner.run_experiment`).
+    # :func:`repro.traces.replay.replay_config`; such a config only labels
+    # the run: :func:`~repro.experiments.runner.run_experiment` needs the
+    # trace's ``pattern=`` passed alongside it).
     pattern: str = "gw"
     #: One of SYNC_STYLES, or "replay" when the barrier-visit schedule
-    #: comes from a recorded trace instead of a coordinator rule.
+    #: comes from the recorded visits the run's pattern carries (a
+    #: trace's) instead of a coordinator rule.
     sync_style: str = "none"
     #: Mean per-block compute time, ms (0 = I/O bound).
     compute_mean: float = 30.0

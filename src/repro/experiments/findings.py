@@ -411,7 +411,7 @@ def ext_hybrid_patterns(
     """
     from ..sim.rng import RandomStreams
     from ..workload.patterns import make_hybrid
-    from .runner import run_materialized
+    from .runner import run_experiment
 
     n_nodes = 20
     lw_nodes = list(range(0, n_nodes, 2))
@@ -426,15 +426,14 @@ def ext_hybrid_patterns(
             seed=seed,
             prefetch=prefetch,
         )
-        rng = RandomStreams(seed)
         pattern = make_hybrid(
             {"lw": lw_nodes, "lfp": lfp_nodes},
             n_nodes=n_nodes,
             file_blocks=config.file_blocks,
             reads_per_node=100,
-            rng=rng,
+            rng=RandomStreams(seed),
         )
-        r = run_materialized(pattern, config, rng)
+        r = run_experiment(config, pattern=pattern)
         results[prefetch] = r
         lw_reads = [r.per_node_read_means[n] for n in lw_nodes]
         lfp_reads = [r.per_node_read_means[n] for n in lfp_nodes]

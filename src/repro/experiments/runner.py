@@ -2,7 +2,10 @@
 
 ``run_experiment`` wires the whole stack together — machine, file, cache,
 policies, daemons, applications — runs the simulation to completion, and
-distils a :class:`RunResult` holding every measure the paper reports.
+distils a :class:`RunResult` holding every measure the paper reports.  It
+runs ``config``'s own pattern, or a pre-built one: a hybrid pattern, or a
+trace's (:meth:`~repro.fs.trace.ReplayTrace.to_pattern`), which is how a
+trace replay runs.
 
 ``run_pair`` runs the prefetch-on configuration and its paired no-prefetch
 baseline with the same seed (the paper evaluates prefetching by such
@@ -31,7 +34,7 @@ from ..prefetch.policy import PrefetchPolicy
 from ..sim.core import Environment
 from ..sim.rng import RandomStreams
 from ..workload.application import application
-from ..workload.patterns import make_pattern
+from ..workload.patterns import AccessPattern, make_pattern
 from ..workload.progress import ProgressTracker
 from ..workload.synchronization import make_sync
 from .config import ExperimentConfig
@@ -41,7 +44,6 @@ __all__ = [
     "RunResult",
     "materialize_pattern",
     "run_experiment",
-    "run_materialized",
     "run_pair",
 ]
 
@@ -210,14 +212,6 @@ def _make_end_recorder(slots: List[float], index: int, env: Environment):
     return record
 
 
-def _build_policy(
-    config: ExperimentConfig, pattern, tracker
-) -> PrefetchPolicy:
-    """Construct ``config.policy`` through the shared factory registry
-    (kept as a seam for tests; see :mod:`repro.prefetch.factory`)."""
-    return build_policy(config, pattern, tracker)
-
-
 #: Maximum distance-trajectory points carried on a RunResult (the full
 #: trajectory lives on the policy; results keep a downsampled sketch so
 #: the slim wire form stays small).
@@ -251,37 +245,23 @@ def materialize_pattern(config: ExperimentConfig, rng: RandomStreams):
 def run_experiment(
     config: ExperimentConfig,
     instrument: Optional[RunInstrumentation] = None,
-) -> RunResult:
-    """Simulate one configuration to completion and summarize it."""
-    rng = RandomStreams(config.seed)
-    pattern = materialize_pattern(config, rng)
-    return run_materialized(pattern, config, rng, instrument=instrument)
-
-
-def run_materialized(
-    pattern,
-    config: ExperimentConfig,
-    rng: Optional[RandomStreams] = None,
-    instrument: Optional[RunInstrumentation] = None,
     *,
-    sync_factory=None,
-    app_factory=None,
+    pattern: Optional[AccessPattern] = None,
 ) -> RunResult:
-    """Run a pre-built :class:`~repro.workload.patterns.AccessPattern`
-    under ``config``'s machine/cache/prefetch setup.
+    """Simulate one configuration to completion and summarize it.
 
-    This is the extension point for workloads outside the paper's six
-    (hybrid patterns, custom strings); ``config.pattern`` is ignored.
-
-    ``sync_factory(env, pattern)`` overrides the sync coordinator and
-    ``app_factory(node, server, tracker, sync, pattern, rng, config)``
-    the per-node user process; :mod:`repro.traces` uses both to replay
-    traces through this exact wiring.
+    ``pattern`` replaces the one ``config`` describes: the extension
+    point for workloads outside the paper's (hybrid patterns, custom
+    strings, a trace's :meth:`~repro.fs.trace.ReplayTrace.to_pattern`).
+    ``config.pattern`` then only labels the run; everything else in
+    ``config`` still applies.
     """
+    rng = RandomStreams(config.seed)
+    if pattern is None:
+        pattern = materialize_pattern(config, rng)
     env = Environment()
     if instrument is not None:
         instrument.on_environment(env)
-    rng = rng if rng is not None else RandomStreams(config.seed)
     recorder = None
     if config.record_trace:
         # Imported on use: repro.traces imports this module.
@@ -306,21 +286,18 @@ def run_materialized(
     if config.faults is not None:
         resilience = ResilienceLayer(env, config.faults, machine, rng)
         cache.resilience = resilience
-    if sync_factory is not None:
-        sync = sync_factory(env, pattern)
-    else:
-        sync = make_sync(
-            config.sync_style,
-            env,
-            config.n_nodes,
-            pattern,
-            per_proc_k=config.per_proc_k,
-            total_k=config.total_k,
-        )
+    sync = make_sync(
+        config.sync_style,
+        env,
+        config.n_nodes,
+        pattern,
+        per_proc_k=config.per_proc_k,
+        total_k=config.total_k,
+    )
 
     policy: Optional[PrefetchPolicy] = None
     if config.prefetch:
-        policy = _build_policy(config, pattern, tracker)
+        policy = build_policy(config, pattern, tracker)
         policy.bind(cache)
         for node in machine.nodes:
             prefetch_daemon(node, cache, policy, config.min_prefetch_time)
@@ -328,7 +305,7 @@ def run_materialized(
     # Write path: armed only when the pattern actually writes, so
     # read-only runs are event-for-event identical to the pre-write
     # simulator (the proof-of-preservation hinge; docs/writes.md).
-    if getattr(pattern, "has_writes", False):
+    if pattern.has_writes:
         cache.configure_writeback(config.writeback_config)
         if config.write_mode == "write-back":
             for node in machine.nodes:
@@ -337,21 +314,11 @@ def run_materialized(
     if instrument is not None:
         instrument.on_wired(env, machine, cache)
 
-    if app_factory is None:
-        def app_factory(node, server, tracker, sync, pattern, rng, config):
-            return application(
-                node,
-                server,
-                tracker,
-                sync,
-                pattern,
-                rng,
-                config.compute_mean,
-            )
-
     apps = [
         env.process(
-            app_factory(node, server, tracker, sync, pattern, rng, config),
+            application(
+                node, server, tracker, sync, pattern, rng, config.compute_mean
+            ),
             name=f"app-{node.node_id}",
         )
         for node in machine.nodes
@@ -512,17 +479,9 @@ def run_pair(
 
     ``jobs`` > 1 runs the two sides in separate worker processes and
     ``cache`` memoizes them (see :mod:`repro.perf.executor`); the
-    defaults preserve the plain sequential in-process behaviour.
+    defaults run both in process, in order, keeping their raw handles.
     """
-    with_prefetch = (
-        config if config.prefetch else config.with_overrides(prefetch=True)
-    )
-    baseline = with_prefetch.paired_baseline()
-    if jobs <= 1 and cache is None:
-        return run_experiment(with_prefetch), run_experiment(baseline)
-    from ..perf.executor import execute_runs
+    # Imported on use: repro.perf.executor imports this module.
+    from ..perf.executor import execute_pairs
 
-    pf, base = execute_runs(
-        [with_prefetch, baseline], jobs=jobs, cache=cache
-    )
-    return pf, base
+    return execute_pairs([config], jobs=jobs, cache=cache)[0]

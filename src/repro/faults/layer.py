@@ -1,6 +1,6 @@
 """The resilience layer: retries, timeouts, backoff, circuit breakers.
 
-Constructed by :func:`~repro.experiments.runner.run_materialized` when a
+Constructed by :func:`~repro.experiments.runner.run_experiment` when a
 config carries a :class:`~repro.faults.plan.FaultPlan`.  Construction
 
 * wraps every faulted disk's model in a

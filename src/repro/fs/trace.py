@@ -426,6 +426,9 @@ class ReplayTrace:
         global-seq) run unmodified over a replayed workload.  Write
         records become ``ops`` entries; a trace with no writes yields
         ``ops=None`` so read-only replays stay on the read-only path.
+        Each record's compute gap and barrier visits become ``computes``
+        and ``joins`` entries, which the application loop and the
+        ``"replay"`` sync style replay.
         """
         # The workload layer sits above fs/: import it on use.
         from ..workload.patterns import AccessPattern
@@ -433,6 +436,8 @@ class ReplayTrace:
         strings = []
         portions = []
         ops = []
+        computes = []
+        joins = []
         any_writes = False
         for timeline in self.timelines():
             strings.append(
@@ -447,6 +452,8 @@ class ReplayTrace:
             ops.append(node_ops)
             if len(node_ops) and node_ops.any():
                 any_writes = True
+            computes.append([r.compute for r in timeline])
+            joins.append([r.sync_joins for r in timeline])
         return AccessPattern(
             name=f"trace:{self.meta.workload}",
             scope="local",
@@ -455,6 +462,8 @@ class ReplayTrace:
             portions=portions,
             crosses_portions=self.meta.crosses_portions,
             ops=ops if any_writes else None,
+            computes=computes,
+            joins=joins,
         )
 
     # -- summaries --------------------------------------------------------------

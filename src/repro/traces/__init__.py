@@ -13,6 +13,9 @@ The lifecycle this package implements:
 * **replay** (:func:`run_replay` and friends) — drive the full simulator
   from a trace: the workload comes from the file, the system behaviour
   (caching, prefetching, disk queueing, barrier waits) re-emerges live.
+  A replay is an ordinary run of the trace's pattern
+  (:meth:`ReplayTrace.to_pattern`) through
+  :func:`~repro.experiments.runner.run_experiment`.
 
 The format itself lives in :mod:`repro.fs.trace`, a leaf module the
 runner imports eagerly.  See ``docs/traces.md`` for the format
@@ -28,15 +31,7 @@ from ..fs.trace import (
 )
 from .importer import import_csv_trace
 from .recorder import ReplayRecorder, record_run
-from .replay import (
-    ReplaySync,
-    replay_application,
-    replay_config,
-    replay_pair,
-    replay_twice_and_diff,
-    replay_with_audit,
-    run_replay,
-)
+from .replay import replay_config, replay_pair, run_replay
 from .synth import GENERATOR_NAMES, make_synthetic_trace
 
 __all__ = [
@@ -45,16 +40,12 @@ __all__ = [
     "REPLAY_TRACE_VERSION",
     "ReplayRecord",
     "ReplayRecorder",
-    "ReplaySync",
     "ReplayTrace",
     "TraceMeta",
     "import_csv_trace",
     "make_synthetic_trace",
     "record_run",
-    "replay_application",
     "replay_config",
     "replay_pair",
-    "replay_twice_and_diff",
-    "replay_with_audit",
     "run_replay",
 ]

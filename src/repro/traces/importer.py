@@ -122,11 +122,11 @@ def import_csv_trace(
         raise TraceFormatError(f"{path}: duplicate columns in header")
     col = {name: i for i, name in enumerate(columns)}
 
-    # (time, node-key, block, compute?, portion?, lineno)
-    rows: List[
-        Tuple[float, str, int, Optional[float], Optional[int], int]
-    ] = []
-    for lineno, row in enumerate(reader, start=2):
+    # (time, node-key, block, compute?, portion?)
+    rows: List[Tuple[float, str, int, Optional[float], Optional[int]]] = []
+    for row in reader:
+        # The line the record ends on: a quoted field may span lines.
+        lineno = reader.line_num
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(columns):
@@ -157,7 +157,7 @@ def import_csv_trace(
             if "portion" in col
             else None
         )
-        rows.append((time, node_key, block, compute, portion, lineno))
+        rows.append((time, node_key, block, compute, portion))
 
     if not rows:
         raise TraceFormatError(f"{path}: no data rows")
@@ -176,7 +176,7 @@ def import_csv_trace(
     # Per-node streams, in sorted-time order.
     per_node: Dict[int, List[Tuple[float, int, Optional[float], Optional[int]]]]
     per_node = {i: [] for i in node_map.values()}
-    for time, node_key, block, compute, portion, _ in rows:
+    for time, node_key, block, compute, portion in rows:
         per_node[node_map[node_key]].append((time, block, compute, portion))
 
     has_compute = "compute" in col

@@ -7,10 +7,9 @@ identical to an unrecorded one):
 * ``fs.read`` / ``fs.write`` (the file server) — fire as each demand
   access completes, giving the observed outcome/latency/time;
 * ``app.claim``, ``app.compute`` and ``app.sync_joins`` (the application
-  loop in :mod:`repro.workload.application`, or its replay twin
-  :func:`repro.traces.replay.replay_application`) — giving the claimed
-  reference, the compute gap, and the number of barrier visits that
-  followed.
+  loop in :mod:`repro.workload.application`, which a replay runs too) —
+  giving the claimed reference, the compute gap, and the number of
+  barrier visits that followed.
 
 Per node the two interleave strictly (one outstanding access per node:
 completion, then claim bookkeeping, then compute, then joins), so merging

@@ -18,6 +18,7 @@ from .synchronization import (
     NoSync,
     PerProcessCountSync,
     PortionSync,
+    ReplaySync,
     SyncCoordinator,
     TotalCountSync,
     make_sync,
@@ -38,6 +39,7 @@ __all__ = [
     "PerProcessCountSync",
     "TotalCountSync",
     "PortionSync",
+    "ReplaySync",
     "make_sync",
     "application",
     "WorkloadSpec",

@@ -6,6 +6,10 @@ synchronize per the configured style.  The process holds its node's CPU
 while computing and releases it across every wait, which is what gives the
 prefetch daemon its idle windows.
 
+A trace replay runs this same loop: its pattern carries each reference's
+recorded compute gap, and its ``"replay"`` sync style the recorded barrier
+visits.
+
 Each access emits ``app.claim`` ``(node_id, ref_index, block, portion,
 op)`` with ``op`` "r" or "w", then ``app.compute`` ``(node_id, delay)``
 and ``app.sync_joins`` ``(node_id, count)``: the probe points the
@@ -41,9 +45,9 @@ def application(
 
     Loop: claim the next reference (own string for local patterns,
     self-scheduled from the shared string for global ones) → read the
-    block → compute Exp(``compute_mean``) ms → settle any owed
-    synchronization visits.  Departs the barrier and exits when the
-    relevant string is exhausted.
+    block → compute for the pattern's recorded gap, or Exp(``compute_mean``)
+    ms when it has none → settle any owed synchronization visits.
+    Departs the barrier and exits when the relevant string is exhausted.
     """
     env = node.env
     node_id = node.node_id
@@ -52,6 +56,7 @@ def application(
     on_sync_joins = env.probe("app.sync_joins")
     portions = pattern.portions_for(node_id)
     ops = pattern.ops_for(node_id)
+    computes = pattern.computes_for(node_id)
     n_refs = len(pattern.string_for(node_id))
 
     cpu = yield from node.acquire_cpu()
@@ -72,7 +77,10 @@ def application(
             fn(node_id, idx, block, portion_id, "w" if is_write else "r")
 
         # Simulated per-block computation, holding the CPU.
-        delay = rng.exponential(f"compute/node{node_id}", compute_mean)
+        if computes is not None:
+            delay = computes[idx]
+        else:
+            delay = rng.exponential(f"compute/node{node_id}", compute_mean)
         for fn in on_compute:
             fn(node_id, delay)
         if delay > 0.0:

@@ -108,6 +108,13 @@ class AccessPattern:
     #: read-only patterns — and the proof-of-preservation hinge: the
     #: runner arms the write path only when :attr:`has_writes`).
     ops: Optional[List[np.ndarray]] = None
+    #: Recorded compute gap (ms) per reference, parallel to ``strings``
+    #: (a trace's; :meth:`~repro.fs.trace.ReplayTrace.to_pattern`).
+    #: ``None`` = the application draws Exp(``compute_mean``) instead.
+    computes: Optional[List[List[float]]] = None
+    #: Recorded barrier visits following each reference, parallel to
+    #: ``strings`` (a trace's): the ``"replay"`` sync style's schedule.
+    joins: Optional[List[List[int]]] = None
 
     def __post_init__(self) -> None:
         if self.scope not in ("local", "global"):
@@ -134,6 +141,17 @@ class AccessPattern:
                     raise ValueError("string and op arrays differ in length")
                 if len(o) and not np.isin(o, (0, 1)).all():
                     raise ValueError("ops must be 0 (read) or 1 (write)")
+        for field_name in ("computes", "joins"):
+            per_ref = getattr(self, field_name)
+            if per_ref is None:
+                continue
+            if len(per_ref) != len(self.strings):
+                raise ValueError(f"strings/{field_name} length mismatch")
+            for s, values in zip(self.strings, per_ref):
+                if len(s) != len(values):
+                    raise ValueError(
+                        f"string and {field_name} lists differ in length"
+                    )
 
     @property
     def total_reads(self) -> int:
@@ -163,6 +181,20 @@ class AccessPattern:
         if self.ops is None:
             return None
         return self.ops[node_id if self.scope == "local" else 0]
+
+    def computes_for(self, node_id: int) -> Optional[List[float]]:
+        """Recorded compute gaps for the string ``node_id`` consumes
+        (None = drawn)."""
+        if self.computes is None:
+            return None
+        return self.computes[node_id if self.scope == "local" else 0]
+
+    def joins_for(self, node_id: int) -> Optional[List[int]]:
+        """Recorded barrier visits for the string ``node_id`` consumes
+        (None = no recorded schedule)."""
+        if self.joins is None:
+            return None
+        return self.joins[node_id if self.scope == "local" else 0]
 
     @property
     def has_writes(self) -> bool:

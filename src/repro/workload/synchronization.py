@@ -13,6 +13,8 @@ Two pieces:
 * :class:`SyncCoordinator` subclasses — decide *when* each process owes a
   barrier visit.  The application loop asks ``owes(node)`` after every
   read+compute step and joins the barrier until the debt is settled.
+  :class:`ReplaySync` is a fifth coordinator, outside the paper: a trace
+  replay's recorded visits.
 
 Synchronization time (the paper's measure) is the span from a process's
 arrival at the barrier to the release of that barrier generation; the
@@ -37,6 +39,7 @@ __all__ = [
     "PerProcessCountSync",
     "TotalCountSync",
     "PortionSync",
+    "ReplaySync",
     "make_sync",
 ]
 
@@ -61,10 +64,6 @@ class DynamicBarrier:
         self.generation = 0
         #: Every individual wait duration (the paper's sync times).
         self.wait_times: List[float] = []
-
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiters)
 
     def wait(self) -> Event:
         """Arrive; the event fires when the generation releases."""
@@ -239,6 +238,42 @@ class PortionSync(SyncCoordinator):
         return self._completed_upto
 
 
+class ReplaySync(SyncCoordinator):
+    """Barrier visits on a recorded schedule (a trace replay's).
+
+    The *schedule* (which reference is followed by how many visits)
+    comes from ``pattern.joins``; the *wait times* stay emergent — the
+    barrier is live, its party count shrinks as nodes finish, and a node
+    still blocks until the generation releases.
+    """
+
+    name = "replay"
+
+    def __init__(
+        self,
+        env: "Environment",
+        n_nodes: int,
+        pattern: AccessPattern,
+    ) -> None:
+        super().__init__(env, n_nodes)
+        self._joins: List[List[int]] = []
+        for node_id in range(n_nodes):
+            joins = pattern.joins_for(node_id)
+            if joins is None:
+                raise ValueError(
+                    f"pattern {pattern.name!r} has no recorded barrier "
+                    "visits to replay"
+                )
+            self._joins.append(joins)
+        self._due = [0] * n_nodes
+
+    def after_read(self, node_id: int, ref_index: int, portion_id: int) -> None:
+        self._due[node_id] += self._joins[node_id][ref_index]
+
+    def _epochs_due(self, node_id: int) -> int:
+        return self._due[node_id]
+
+
 def make_sync(
     style: str,
     env: "Environment",
@@ -247,7 +282,11 @@ def make_sync(
     per_proc_k: int = 10,
     total_k: int = 200,
 ) -> SyncCoordinator:
-    """Build a coordinator by style name (paper defaults for k)."""
+    """Build a coordinator by style name (paper defaults for k).
+
+    ``"replay"`` is not one of the paper's styles: it replays the barrier
+    visits recorded in ``pattern.joins``.
+    """
     if style == "none":
         return NoSync(env, n_nodes)
     if style == "per-proc":
@@ -256,4 +295,6 @@ def make_sync(
         return TotalCountSync(env, n_nodes, k=total_k)
     if style == "portion":
         return PortionSync(env, n_nodes, pattern)
+    if style == "replay":
+        return ReplaySync(env, n_nodes, pattern)
     raise ValueError(f"unknown sync style {style!r}; pick from {SYNC_STYLES}")

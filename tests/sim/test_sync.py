@@ -61,27 +61,6 @@ def test_barrier_records_wait_times():
     assert barrier.generation == 1
 
 
-def test_barrier_n_waiting():
-    env = Environment()
-    barrier = DynamicBarrier(env, parties=3)
-    counts = []
-
-    def worker(delay):
-        yield env.timeout(delay)
-        yield barrier.wait()
-
-    def observer():
-        yield env.timeout(2.5)
-        counts.append(barrier.n_waiting)
-
-    env.process(worker(1.0))
-    env.process(worker(2.0))
-    env.process(worker(5.0))
-    env.process(observer())
-    env.run()
-    assert counts == [2]
-
-
 # -------------------------------------------------------------------- Gate
 
 

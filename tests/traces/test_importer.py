@@ -87,6 +87,15 @@ def test_bad_number_names_line(tmp_path):
         import_csv_trace(path)
 
 
+def test_bad_number_after_a_multiline_field_names_its_line(tmp_path):
+    path = write(tmp_path, 'time,node,block\n0,"a\nb",1\nx,a,2\n', "ml.csv")
+    with pytest.raises(
+        TraceFormatError,
+        match=f"^{path}:4: column 'time': 'x' is not a number$",
+    ):
+        import_csv_trace(path)
+
+
 def test_non_utf8_byte_names_the_line(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_bytes(b"time,node,block\n0,a,1\n1,\xff,2\n")

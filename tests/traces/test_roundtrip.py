@@ -10,13 +10,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro.analysis.audit import run_twice_and_diff
 from repro.experiments.config import ExperimentConfig
 from repro.traces import (
     ReplayTrace,
+    make_synthetic_trace,
     record_run,
     replay_config,
     replay_pair,
-    replay_twice_and_diff,
     run_replay,
 )
 
@@ -142,10 +143,83 @@ def test_replay_with_prefetch_is_emergent():
 def test_replay_passes_determinism_audit():
     config = small_config("lw", "per-proc")
     _, trace = record_run(config)
-    report = replay_twice_and_diff(
-        trace, replay_config(trace, config), sweep_interval=None
+    report = run_twice_and_diff(
+        replay_config(trace, config),
+        sweep_interval=None,
+        pattern=trace.to_pattern(),
     )
     assert report.identical
+
+
+def _recorded(pattern, sync, file_blocks, prefetch=True):
+    config = ExperimentConfig(
+        pattern=pattern, sync_style=sync, prefetch=prefetch, n_nodes=4,
+        n_disks=4, file_blocks=file_blocks, total_reads=file_blocks,
+    )
+    return record_run(config)[1]
+
+
+def _synthesized(kind, write_fraction=0.0):
+    return make_synthetic_trace(
+        kind, n_nodes=4, file_blocks=200, reads_per_node=40,
+        write_fraction=write_fraction,
+    )
+
+
+#: (events, trace digest) of both audited sides of ``trace replay
+#: --audit`` at its defaults, for each trace CI's trace jobs replay.
+_REPLAY_SCHEDULES = {
+    "rec": (
+        lambda: _recorded("gfp", "portion", 400, prefetch=False),
+        (34310, "3d1728ff3ebb55c158be2d6c7d33c098"),
+        (5162, "fc4d39b6057121ffed177e22bbec1c28"),
+    ),
+    "rec-rw": (
+        lambda: _recorded("lfp-rw", "none", 200),
+        (5010, "9bb4fe684c37fa0b38512ee7619d5299"),
+        (2861, "9200dace24db9e9f2bd94d4b43871ebe"),
+    ),
+    "bursty": (
+        lambda: _synthesized("bursty"),
+        (8547, "615159a13c09c8091e1550edb08efd21"),
+        (1951, "c356a108ccdb2e02b1ed11f56534b263"),
+    ),
+    "phased": (
+        lambda: _synthesized("phased"),
+        (7081, "73891cc0739caa4d86cd47f31a348bd0"),
+        (1949, "82f60ebb375af4e33e421ffd02ac77d1"),
+    ),
+    "skewed": (
+        lambda: _synthesized("skewed"),
+        (25478, "4dc34d97f8d066184709d5d6fa370a6d"),
+        (1785, "6040f2d303bb74faa6a2a37ab404e80a"),
+    ),
+    "mixed": (
+        lambda: _synthesized("mixed"),
+        (11906, "cc112baa6dd06aec249ef0d3542f5c79"),
+        (1921, "4f1cd859526daa9ddb2622519fa11e1d"),
+    ),
+    "rw": (
+        lambda: _synthesized("bursty", write_fraction=0.3),
+        (8387, "fd648220412e025822b184a6b3698bdc"),
+        (2481, "f52c512a61dc28a9ae0818682f6ac4f7"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REPLAY_SCHEDULES))
+def test_replay_schedules_are_pinned(name):
+    """Each side of an audited replay runs its pinned event schedule, so
+    a change that moves every replay alike still fails here."""
+    build, prefetch_side, baseline_side = _REPLAY_SCHEDULES[name]
+    trace = build()
+    config = replay_config(trace, ExperimentConfig(n_disks=4))
+    got = []
+    for cell in (config, config.paired_baseline()):
+        report = run_twice_and_diff(cell, pattern=trace.to_pattern())
+        assert report.identical
+        got.append((report.first.n_events, report.first.trace_digest))
+    assert got == [prefetch_side, baseline_side]
 
 
 def test_replay_rejects_node_count_mismatch():

@@ -68,7 +68,7 @@ def test_hybrid_name_and_tracker_integration():
 
 def test_hybrid_runs_end_to_end():
     from repro.experiments import ExperimentConfig
-    from repro.experiments.runner import run_materialized
+    from repro.experiments.runner import run_experiment
 
     config = ExperimentConfig(
         pattern="lw",  # placeholder; materialized pattern wins
@@ -87,7 +87,7 @@ def test_hybrid_runs_end_to_end():
         reads_per_node=40,
         rng=rng,
     )
-    result = run_materialized(pattern, config, rng)
+    result = run_experiment(config, pattern=pattern)
     assert result.total_accesses == 160
     assert result.blocks_prefetched > 0
 

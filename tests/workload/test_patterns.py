@@ -139,3 +139,12 @@ def test_validation_catches_bad_data():
             strings=[np.array([0, 1])], portions=[np.array([1, 0])],
             crosses_portions=True,
         )
+    # Recorded gaps and visits run parallel to the strings.
+    for field_name, per_ref in (("computes", [1.0]), ("joins", [0])):
+        for bad in ([per_ref, per_ref], [per_ref[:0]]):
+            with pytest.raises(ValueError, match=field_name):
+                AccessPattern(
+                    name="x", scope="local", file_blocks=10,
+                    strings=[np.array([0])], portions=[np.array([0])],
+                    crosses_portions=True, **{field_name: bad},
+                )

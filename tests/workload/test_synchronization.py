@@ -8,6 +8,7 @@ from repro.workload import (
     NoSync,
     PerProcessCountSync,
     PortionSync,
+    ReplaySync,
     TotalCountSync,
     make_pattern,
     make_sync,
@@ -182,6 +183,15 @@ def test_make_sync_factory():
     )
     assert isinstance(make_sync("total", env, 4, pattern), TotalCountSync)
     assert isinstance(make_sync("portion", env, 4, pattern), PortionSync)
+    # "replay" replays a trace's recorded visits; other patterns have none.
+    from repro.traces import make_synthetic_trace
+
+    trace = make_synthetic_trace("bursty", n_nodes=4, reads_per_node=5)
+    assert isinstance(
+        make_sync("replay", env, 4, trace.to_pattern()), ReplaySync
+    )
+    with pytest.raises(ValueError, match="pattern 'gw'"):
+        make_sync("replay", env, 4, pattern)
 
 
 def test_depart_is_idempotent():
